@@ -33,6 +33,9 @@ cargo test -q -p ausdb-serve --test loopback telemetry_flag_does_not_affect_resu
 echo "== server smoke =="
 bash scripts/server_smoke.sh
 
+echo "== benchmark oracles: transcripts vs ShardSet replay, kill -9 recovery (real binary) =="
+bash benchmark/run.sh --quick --workload flood_standing
+
 echo "== pr6 bench: network ingest (INGESTB + shards) =="
 bash scripts/pr6_bench
 

@@ -18,7 +18,14 @@ use ausdb_stats::ci::ConfidenceInterval;
 
 /// Renders a schema as one line: `SCHEMA name:type ...`.
 pub fn render_schema(schema: &Schema) -> String {
-    let mut out = String::from("SCHEMA");
+    let mut out = String::new();
+    render_schema_into(&mut out, schema);
+    out
+}
+
+/// Appends the `SCHEMA` line for `schema` to `out` (no trailing newline).
+pub fn render_schema_into(out: &mut String, schema: &Schema) {
+    out.push_str("SCHEMA");
     for col in schema.columns() {
         let ty = match col.ty {
             ausdb_model::schema::ColumnType::Int => "int",
@@ -29,17 +36,12 @@ pub fn render_schema(schema: &Schema) -> String {
         };
         let _ = write!(out, " {}:{}", col.name, ty);
     }
-    out
 }
 
 /// Renders one tuple as a `ROW` line.
 pub fn render_row(tuple: &Tuple) -> String {
-    let mut out = String::from("ROW");
-    let _ = write!(out, " ts={}", tuple.ts);
-    let _ = write!(out, " {}", render_membership(&tuple.membership));
-    for field in &tuple.fields {
-        let _ = write!(out, " {}", render_field(field));
-    }
+    let mut out = String::new();
+    render_row_into(&mut out, tuple);
     out
 }
 
@@ -48,45 +50,66 @@ pub fn render_rows(tuples: &[Tuple]) -> Vec<String> {
     tuples.iter().map(render_row).collect()
 }
 
+/// Appends one tuple's `ROW` line to `out` (no trailing newline). This is
+/// the only renderer: every other entry point wraps it, so a row reaches
+/// a reply or an `EVENT` block without intermediate strings.
+pub fn render_row_into(out: &mut String, tuple: &Tuple) {
+    let _ = write!(out, "ROW ts={} ", tuple.ts);
+    membership_into(out, &tuple.membership);
+    for field in &tuple.fields {
+        out.push(' ');
+        field_into(out, field);
+    }
+}
+
+/// Appends every tuple's `ROW` line to `out`, each terminated by `\n`.
+pub fn render_rows_into(out: &mut String, tuples: &[Tuple]) {
+    for tuple in tuples {
+        render_row_into(out, tuple);
+        out.push('\n');
+    }
+}
+
 /// Renders one trace-journal entry as a `TRACE` protocol line. Journal
 /// messages are newline-free by construction, so one entry is one line.
 pub fn render_trace_entry(entry: &ausdb_obs::journal::Entry) -> String {
     format!("TRACE {entry}")
 }
 
-fn render_membership(m: &TupleProbability) -> String {
-    let mut out = format!("p={}", m.p);
+fn membership_into(out: &mut String, m: &TupleProbability) {
+    let _ = write!(out, "p={}", m.p);
     if let Some(ci) = &m.ci {
-        let _ = write!(out, "{}", render_ci(ci));
+        ci_into(out, ci);
     }
     if let Some(n) = m.sample_size {
         let _ = write!(out, "@n={n}");
     }
-    out
 }
 
-fn render_ci(ci: &ConfidenceInterval) -> String {
-    format!("[{},{};{}]", ci.lo, ci.hi, ci.level)
+fn ci_into(out: &mut String, ci: &ConfidenceInterval) {
+    let _ = write!(out, "[{},{};{}]", ci.lo, ci.hi, ci.level);
 }
 
-fn render_field(field: &Field) -> String {
-    let mut out = render_value(&field.value);
+fn field_into(out: &mut String, field: &Field) {
+    value_into(out, &field.value);
     if let Some(n) = field.sample_size {
         let _ = write!(out, "|n={n}");
     }
     if let Some(acc) = &field.accuracy {
-        let _ = write!(out, "|{}", render_accuracy(acc));
+        out.push('|');
+        accuracy_into(out, acc);
     }
-    out
 }
 
-fn render_accuracy(acc: &AccuracyInfo) -> String {
-    let mut out = format!("acc(n={}", acc.sample_size);
+fn accuracy_into(out: &mut String, acc: &AccuracyInfo) {
+    let _ = write!(out, "acc(n={}", acc.sample_size);
     if let Some(ci) = &acc.mean_ci {
-        let _ = write!(out, ",mean={}", render_ci(ci));
+        out.push_str(",mean=");
+        ci_into(out, ci);
     }
     if let Some(ci) = &acc.variance_ci {
-        let _ = write!(out, ",var={}", render_ci(ci));
+        out.push_str(",var=");
+        ci_into(out, ci);
     }
     if let Some(bins) = &acc.bin_cis {
         out.push_str(",bins=");
@@ -94,44 +117,58 @@ fn render_accuracy(acc: &AccuracyInfo) -> String {
             if i > 0 {
                 out.push('+');
             }
-            out.push_str(&render_ci(ci));
+            ci_into(out, ci);
         }
     }
     out.push(')');
-    out
 }
 
-fn render_value(value: &Value) -> String {
+fn value_into(out: &mut String, value: &Value) {
     match value {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => {
+            let _ = write!(out, "{b}");
+        }
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::Float(f) => {
+            let _ = write!(out, "{f}");
+        }
         // Escape whitespace so a string can never forge field boundaries.
-        Value::Str(s) => format!("{:?}", s),
-        Value::Dist(d) => render_dist(d),
+        Value::Str(s) => {
+            let _ = write!(out, "{s:?}");
+        }
+        Value::Dist(d) => dist_into(out, d),
     }
 }
 
-fn render_dist(d: &AttrDistribution) -> String {
-    let join = |xs: &[f64], sep: char| -> String {
-        let mut out = String::new();
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(sep);
-            }
-            let _ = write!(out, "{x}");
+fn floats_into(out: &mut String, xs: &[f64]) {
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out
-    };
+        let _ = write!(out, "{x}");
+    }
+}
+
+fn dist_into(out: &mut String, d: &AttrDistribution) {
     match d {
-        AttrDistribution::Point(v) => format!("point({v})"),
-        AttrDistribution::Gaussian { mu, sigma2 } => format!("gauss({mu},{sigma2})"),
+        AttrDistribution::Point(v) => {
+            let _ = write!(out, "point({v})");
+        }
+        AttrDistribution::Gaussian { mu, sigma2 } => {
+            let _ = write!(out, "gauss({mu},{sigma2})");
+        }
         AttrDistribution::Histogram(h) => {
-            format!("hist(edges={};probs={})", join(h.edges(), ','), join(h.probs(), ','))
+            out.push_str("hist(edges=");
+            floats_into(out, h.edges());
+            out.push_str(";probs=");
+            floats_into(out, h.probs());
+            out.push(')');
         }
         AttrDistribution::Discrete(pairs) => {
-            let mut out = String::from("disc(");
+            out.push_str("disc(");
             for (i, (v, p)) in pairs.iter().enumerate() {
                 if i > 0 {
                     out.push(';');
@@ -139,9 +176,12 @@ fn render_dist(d: &AttrDistribution) -> String {
                 let _ = write!(out, "{v}:{p}");
             }
             out.push(')');
-            out
         }
-        AttrDistribution::Empirical(xs) => format!("emp({})", join(xs, ',')),
+        AttrDistribution::Empirical(xs) => {
+            out.push_str("emp(");
+            floats_into(out, xs);
+            out.push(')');
+        }
     }
 }
 
@@ -149,6 +189,178 @@ fn render_dist(d: &AttrDistribution) -> String {
 mod tests {
     use super::*;
     use ausdb_model::schema::{Column, ColumnType};
+    use proptest::prelude::*;
+
+    fn ci(lo: f64, hi: f64, level: f64) -> ConfidenceInterval {
+        ConfidenceInterval::new(lo, hi, level)
+    }
+
+    /// One tuple per group of renderer variants. `GOLDEN` is their frozen
+    /// wire text (captured from the renderer of PR 11, literal on purpose):
+    /// clients compare these bytes across versions, so it must never move.
+    fn golden_tuples() -> Vec<Tuple> {
+        let hist =
+            ausdb_model::dist::Histogram::new(vec![0.0, 0.5, 2.0], vec![0.25, 0.75]).unwrap();
+        vec![
+            Tuple::certain(
+                0,
+                vec![
+                    Field::plain(Value::Null),
+                    Field::plain(true),
+                    Field::plain(false),
+                    Field::plain(-42i64),
+                    Field::plain(i64::MIN),
+                    Field::plain("a b\t\"q\"\n\\ \u{e9}"),
+                    Field::plain(""),
+                ],
+            ),
+            Tuple::certain(
+                u64::MAX,
+                vec![
+                    Field::plain(-0.0f64),
+                    Field::plain(0.0f64),
+                    Field::plain(f64::from_bits(1)),
+                    Field::plain(1e300f64),
+                    Field::plain(f64::MAX),
+                    Field::plain(0.1f64 + 0.2),
+                    Field::plain(1e16f64),
+                    Field::plain(-1.5e-7f64),
+                ],
+            ),
+            Tuple::with_membership(
+                3,
+                vec![
+                    Field::plain(AttrDistribution::Point(-0.0)),
+                    Field::learned(AttrDistribution::Gaussian { mu: -1.25, sigma2: 1e-7 }, 20),
+                    Field::learned(AttrDistribution::Histogram(hist), 7).with_accuracy(
+                        AccuracyInfo::new(7)
+                            .with_bin_cis(vec![ci(0.1, 0.4, 0.9), ci(0.6, 0.9, 0.9)]),
+                    ),
+                    Field::plain(AttrDistribution::Discrete(vec![(1.0, 0.25), (-2.5, 0.75)])),
+                    Field::learned(AttrDistribution::Empirical(vec![3.0, -0.0, 1e21]), 3),
+                    Field::plain(AttrDistribution::Empirical(vec![0.30000000000000004])),
+                ],
+                TupleProbability::new(0.5).unwrap().with_ci(ci(0.4, 0.6, 0.9), 10),
+            ),
+            Tuple::with_membership(
+                4,
+                vec![
+                    Field::plain(AttrDistribution::Gaussian { mu: 2.0, sigma2: 0.5 })
+                        .with_accuracy(
+                            AccuracyInfo::new(9)
+                                .with_mean_ci(ci(1.0, 3.0, 0.9))
+                                .with_variance_ci(ci(0.25, 1e22, 0.95))
+                                .with_bin_cis(vec![ci(-0.0, 1.0, 0.5)]),
+                        ),
+                    Field::learned(1.5f64, 4).with_accuracy(AccuracyInfo::new(2)),
+                    Field::plain(7i64).with_accuracy(
+                        AccuracyInfo::new(5).with_variance_ci(ci(0.0, 2.5e-9, 0.99)),
+                    ),
+                ],
+                TupleProbability { p: 0.25, ci: None, sample_size: Some(12) },
+            ),
+            Tuple::with_membership(
+                5,
+                vec![],
+                TupleProbability { p: 0.0, ci: Some(ci(0.0, 1e-5, 0.9)), sample_size: None },
+            ),
+        ]
+    }
+
+    const GOLDEN: [&str; 5] = [
+        "ROW ts=0 p=1 null true false -42 -9223372036854775808 \"a b\\t\\\"q\\\"\\n\\\\ é\" \"\"",
+        "ROW ts=18446744073709551615 p=1 -0 0 0.000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000005 10000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         00000000000000000000000000000000000000000000000000000000000000000000000000000 179769\
+         313486231570000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+         000000000000000000000000000000000000000000000000000 0.30000000000000004 100000000000\
+         00000 -0.00000015",
+        "ROW ts=3 p=0.5[0.4,0.6;0.9]@n=10 point(-0) gauss(-1.25,0.0000001)|n=20 hist(edges=0,\
+         0.5,2;probs=0.25,0.75)|n=7|acc(n=7,bins=[0.1,0.4;0.9]+[0.6,0.9;0.9]) disc(1:0.25;-2.\
+         5:0.75) emp(3,-0,1000000000000000000000)|n=3 emp(0.30000000000000004)",
+        "ROW ts=4 p=0.25@n=12 gauss(2,0.5)|n=9|acc(n=9,mean=[1,3;0.9],var=[0.25,1000000000000\
+         0000000000;0.95],bins=[-0,1;0.5]) 1.5|n=4|acc(n=2) 7|n=5|acc(n=5,var=[0,0.0000000025\
+         ;0.99])",
+        "ROW ts=5 p=0[0,0.00001;0.9]",
+    ];
+
+    #[test]
+    fn frozen_golden_lines() {
+        let tuples = golden_tuples();
+        assert_eq!(render_rows(&tuples), GOLDEN);
+        let mut block = String::new();
+        render_rows_into(&mut block, &tuples);
+        assert_eq!(block, GOLDEN.map(|l| format!("{l}\n")).concat());
+    }
+
+    /// Every `f64` of `t` that reaches the wire, histograms excepted
+    /// (their fields are private; the golden lines cover them).
+    fn floats_mut(t: &mut Tuple) -> Vec<&mut f64> {
+        fn ci_mut(ci: &mut ConfidenceInterval) -> [&mut f64; 3] {
+            [&mut ci.lo, &mut ci.hi, &mut ci.level]
+        }
+        let mut out = vec![&mut t.membership.p];
+        out.extend(t.membership.ci.iter_mut().flat_map(ci_mut));
+        for field in &mut t.fields {
+            match &mut field.value {
+                Value::Float(f) => out.push(f),
+                Value::Dist(AttrDistribution::Point(v)) => out.push(v),
+                Value::Dist(AttrDistribution::Gaussian { mu, sigma2 }) => out.extend([mu, sigma2]),
+                Value::Dist(AttrDistribution::Discrete(pairs)) => {
+                    out.extend(pairs.iter_mut().flat_map(|(v, p)| [v, p]));
+                }
+                Value::Dist(AttrDistribution::Empirical(xs)) => out.extend(xs.iter_mut()),
+                _ => {}
+            }
+            if let Some(acc) = &mut field.accuracy {
+                out.extend(acc.mean_ci.iter_mut().flat_map(ci_mut));
+                out.extend(acc.variance_ci.iter_mut().flat_map(ci_mut));
+                out.extend(acc.bin_cis.iter_mut().flatten().flat_map(ci_mut));
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn wrappers_are_the_split_of_the_writer(picks in prop::collection::vec(0usize..5, 0..12)) {
+            let golden = golden_tuples();
+            let tuples: Vec<Tuple> = picks.iter().map(|&i| golden[i].clone()).collect();
+            let mut block = String::from("EVENT 1 WINDOW 0 ROWS n\n");
+            render_rows_into(&mut block, &tuples);
+            let body = block.strip_prefix("EVENT 1 WINDOW 0 ROWS n\n").unwrap();
+            let split: Vec<&str> = body.split_terminator('\n').collect();
+            prop_assert_eq!(render_rows(&tuples), split);
+            prop_assert_eq!(body.matches('\n').count(), tuples.len());
+        }
+
+        #[test]
+        fn one_flipped_bit_renders_differently(
+            which in 0usize..5,
+            slot in 0usize..64,
+            bit in 0u32..64,
+        ) {
+            let a = golden_tuples().swap_remove(which);
+            let mut b = a.clone();
+            {
+                let mut floats = floats_mut(&mut b);
+                let n = floats.len();
+                let f = &mut floats[slot % n];
+                let flipped = f64::from_bits(f.to_bits() ^ (1u64 << bit));
+                // NaN payloads all print "NaN"; no result carries one.
+                prop_assume!(!flipped.is_nan());
+                **f = flipped;
+            }
+            prop_assert_ne!(render_row(&a), render_row(&b));
+        }
+    }
 
     #[test]
     fn distinct_bits_render_distinctly() {

@@ -21,6 +21,7 @@
 //! the acceptor **joins every connection thread**, and a final snapshot is
 //! written. Nothing detaches.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ use ausdb_wal::{Wal, WalOptions, WalTelemetry};
 
 use crate::http::{HttpRequest, HttpResponse, Router};
 use crate::protocol::{help_lines, parse_request, Request};
-use crate::render::{render_rows, render_schema, render_trace_entry};
+use crate::render::{render_rows_into, render_schema_into, render_trace_entry};
 use crate::repl::{self, ReplReply};
 use crate::shard::ShardSet;
 use crate::snapshot::{clean_stale_temps, read_snapshot, write_snapshot};
@@ -506,15 +507,27 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(b"\n")
 }
 
-/// Protocol lines produced by one request, plus whether to close after.
+/// The protocol lines one request produced — one body, each line
+/// terminated by `\n`, written to the socket as is — plus whether to
+/// close after.
 struct Reply {
-    lines: Vec<String>,
+    body: String,
     close: bool,
 }
 
 impl Reply {
     fn one(line: impl Into<String>) -> Self {
-        Self { lines: vec![line.into()], close: false }
+        let mut body = line.into();
+        body.push('\n');
+        Self { body, close: false }
+    }
+    fn lines(lines: impl IntoIterator<Item = impl AsRef<str>>) -> Self {
+        let mut body = String::new();
+        for line in lines {
+            body.push_str(line.as_ref());
+            body.push('\n');
+        }
+        Self { body, close: false }
     }
     fn err(msg: impl std::fmt::Display) -> Self {
         Self::one(format!("ERR {msg}"))
@@ -627,14 +640,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                                 }
                                 other => {
                                     let reply = handle_request(other, &shared, &mut subscriptions);
-                                    let mut buf = String::with_capacity(
-                                        reply.lines.iter().map(|l| l.len() + 1).sum(),
-                                    );
-                                    for out in &reply.lines {
-                                        buf.push_str(out);
-                                        buf.push('\n');
-                                    }
-                                    if stream.write_all(buf.as_bytes()).is_err() {
+                                    if stream.write_all(reply.body.as_bytes()).is_err() {
                                         break 'conn;
                                     }
                                     if reply.close {
@@ -714,17 +720,19 @@ fn handle_request(
         },
         Request::Query(sql) => match shared.state.query(&sql) {
             Ok(QueryReply::Rows(schema, tuples)) => {
-                let mut lines = vec![render_schema(&schema)];
-                lines.extend(render_rows(&tuples));
-                lines.push(format!("END {}", tuples.len()));
-                Reply { lines, close: false }
+                let mut body = String::new();
+                render_schema_into(&mut body, &schema);
+                body.push('\n');
+                render_rows_into(&mut body, &tuples);
+                let _ = writeln!(body, "END {}", tuples.len());
+                Reply { body, close: false }
             }
             Ok(QueryReply::Plan(plan)) => {
                 let n = plan.len();
                 let mut lines: Vec<String> =
                     plan.into_iter().map(|l| format!("PLAN {l}")).collect();
                 lines.push(format!("END {n}"));
-                Reply { lines, close: false }
+                Reply::lines(lines)
             }
             Err(e) => Reply::err(format!("query: {e}")),
         },
@@ -747,16 +755,11 @@ fn handle_request(
         Request::Stats => {
             let mut lines = shared.state.stats_lines();
             lines.push("END".to_string());
-            Reply { lines, close: false }
+            Reply::lines(lines)
         }
-        Request::Metrics => {
-            let text = metrics_body(shared);
-            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-            lines.push("END".to_string());
-            Reply { lines, close: false }
-        }
+        Request::Metrics => Reply::lines(metrics_body(shared).lines().chain(["END"])),
         Request::WalStat => Reply::one(walstat_line(shared)),
-        Request::Health => Reply { lines: health_lines(shared), close: false },
+        Request::Health => Reply::lines(health_lines(shared)),
         Request::SloSet { id, width } => match shared.state.set_slo(id, width) {
             Ok(()) => Reply::one(format!("OK SLO {id} target={width}")),
             Err(e) => Reply::err(format!("slo: {e}")),
@@ -764,7 +767,7 @@ fn handle_request(
         Request::SloList => {
             let mut lines = shared.state.slo_lines();
             lines.push(format!("END {}", lines.len()));
-            Reply { lines, close: false }
+            Reply::lines(lines)
         }
         Request::Promote => {
             // A promoted follower serves as primary from here on, so it
@@ -783,14 +786,13 @@ fn handle_request(
                 vec![format!("TRACE dropped={}", ausdb_obs::journal::global().dropped())];
             lines.extend(entries.iter().map(render_trace_entry));
             lines.push(format!("END {}", entries.len()));
-            Reply { lines, close: false }
+            Reply::lines(lines)
         }
         Request::TraceExport => {
             let traces = ausdb_obs::span::ring().snapshot();
             let json = ausdb_obs::span::chrome_trace_json(&traces);
-            let mut lines: Vec<String> = json.lines().map(str::to_string).collect();
-            lines.push(format!("END {}", traces.len()));
-            Reply { lines, close: false }
+            let end = format!("END {}", traces.len());
+            Reply::lines(json.lines().chain([end.as_str()]))
         }
         Request::History { series: None, .. } => {
             let infos = shared.history.list();
@@ -799,7 +801,7 @@ fn handle_request(
                 .map(|s| format!("SERIES {} kind={} points={}", s.name, s.kind, s.points))
                 .collect();
             lines.push(format!("END {}", infos.len()));
-            Reply { lines, close: false }
+            Reply::lines(lines)
         }
         Request::History { series: Some(name), last, step } => {
             match shared.history.query(&name, last, step) {
@@ -813,22 +815,13 @@ fn handle_request(
                     )];
                     lines.extend(slice.points.iter().map(|p| format!("POINT {}", p.render_kv())));
                     lines.push(format!("END {}", slice.points.len()));
-                    Reply { lines, close: false }
+                    Reply::lines(lines)
                 }
                 Err(e) => Reply::err(format!("history: {e}")),
             }
         }
-        Request::HistoryExport => {
-            let json = shared.history.export_json();
-            let mut lines: Vec<String> = json.lines().map(str::to_string).collect();
-            lines.push("END".to_string());
-            Reply { lines, close: false }
-        }
-        Request::Help => {
-            let mut lines: Vec<String> = help_lines().iter().map(|l| l.to_string()).collect();
-            lines.push("END".to_string());
-            Reply { lines, close: false }
-        }
+        Request::HistoryExport => Reply::lines(shared.history.export_json().lines().chain(["END"])),
+        Request::Help => Reply::lines(help_lines().iter().copied().chain(["END"])),
         Request::Snapshot => match &shared.snapshot_path {
             None => Reply::err("no snapshot path configured (start with --snapshot-path)"),
             Some(path) => {
@@ -861,7 +854,7 @@ fn handle_request(
         },
         Request::Shutdown => {
             request_shutdown(shared);
-            Reply { lines: vec!["OK shutting down".to_string()], close: true }
+            Reply { close: true, ..Reply::one("OK shutting down") }
         }
     }
 }

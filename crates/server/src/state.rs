@@ -21,6 +21,7 @@
 //! close (counted as `late_rows` in `STATS`).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -37,7 +38,7 @@ use ausdb_obs::{journal, AccuracyPoint, Counter, Gauge, Histogram, Level, Regist
 use ausdb_sql::parser::parse;
 use ausdb_sql::planner::{run_sql, run_statement_with_stats, SqlOutput};
 
-use crate::render::render_rows;
+use crate::render::render_rows_into;
 use crate::subscriber::SubscriberQueue;
 
 /// Engine-level configuration (the server's `ServerConfig` carries this
@@ -862,12 +863,12 @@ impl EngineState {
             .collect()
     }
 
-    /// Evaluates query `id`'s SLO against freshly computed result tuples,
-    /// returning the `ACCURACY` notice line on a violation. Reads only
-    /// already-computed accuracy info — results are never touched.
-    fn check_slo(&self, id: u64, tuples: &[Tuple], window_start: u64) -> Option<String> {
+    /// Evaluates query `id`'s SLO against `width`, the widest CI of its
+    /// freshly computed result, returning the `ACCURACY` notice line on a
+    /// violation. Reads only already-computed accuracy info — results are
+    /// never touched.
+    fn check_slo(&self, id: u64, width: f64, window_start: u64) -> Option<String> {
         let target = self.slo_targets.get(&id)?;
-        let width = max_ci_width(tuples);
         target.over.set((width - target.width).max(0.0));
         if width <= target.width {
             return None;
@@ -909,12 +910,13 @@ impl EngineState {
             let false0 = engine.verdict(Some(false)).get();
             match run_sql(&self.session, &sub.sql) {
                 Ok((_, tuples)) => {
-                    let notice = self.check_slo(id, &tuples, window_start);
+                    let ci_width = max_ci_width(&tuples);
+                    let notice = self.check_slo(id, ci_width, window_start);
                     self.history.record_accuracy(
                         id,
                         AccuracyPoint {
                             window_start,
-                            ci_width: max_ci_width(&tuples),
+                            ci_width,
                             df_n: max_sample_size(&tuples),
                             resamples: engine.bootstrap_resamples.get() - resamples0,
                             verdicts_true: engine.verdict(Some(true)).get() - true0,
@@ -923,9 +925,19 @@ impl EngineState {
                             late_rows,
                         },
                     );
-                    let rows = render_rows(&tuples);
-                    let header = format!("EVENT {id} WINDOW {window_start} ROWS {}", rows.len());
-                    sub.queue.push_all(std::iter::once(header).chain(rows).chain(notice));
+                    // Header, rows and notice go out as one block, so the
+                    // subscriber's connection drains all of it or none.
+                    let mut block = String::new();
+                    let _ =
+                        writeln!(block, "EVENT {id} WINDOW {window_start} ROWS {}", tuples.len());
+                    render_rows_into(&mut block, &tuples);
+                    let mut lines = 1 + tuples.len();
+                    if let Some(notice) = notice {
+                        block.push_str(&notice);
+                        block.push('\n');
+                        lines += 1;
+                    }
+                    sub.queue.push_block(block, lines);
                 }
                 Err(e) => {
                     sub.queue.push(format!("EVENT {id} ERR {e}"));
@@ -1285,6 +1297,66 @@ mod tests {
         assert!(lines.len() >= 2, "header plus at least one row");
         assert!(state.unsubscribe(id));
         assert!(!state.unsubscribe(id));
+    }
+
+    /// One connection holding four subscriptions drains its queues while
+    /// the ingest thread is still firing events: every `EVENT` block must
+    /// arrive whole, never cut in two around another subscription's lines.
+    #[test]
+    fn event_blocks_reach_a_draining_connection_whole() {
+        const KEYS: u64 = 32;
+        const WINDOWS: u64 = 400;
+        let mut state = EngineState::new(EngineConfig { queue_cap: 1 << 20, ..test_config() });
+        let queues: Vec<_> = (0..4)
+            .map(|_| state.subscribe("SELECT * FROM traffic").expect("under the limit").2)
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut wire = String::new();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                for w in 0..=WINDOWS {
+                    for key in 0..KEYS {
+                        for v in [40 + key, 60 + w % 7] {
+                            state.ingest("traffic", &format!("{key},{},{v}", w * 10)).unwrap();
+                        }
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            // The connection loop's fan-out step, without the socket.
+            let mut fan_out = || {
+                for queue in &queues {
+                    queue.drain_into(&mut wire);
+                }
+            };
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                fan_out();
+                // The connection's tick: closes pile up between fan-outs,
+                // so a block caught mid-push would be completed only after
+                // the other queue's newer events.
+                std::thread::sleep(std::time::Duration::from_micros(500));
+            }
+            fan_out();
+        });
+        let mut lines = wire.lines();
+        let mut events = 0;
+        while let Some(header) = lines.next() {
+            let rows: usize = header
+                .strip_prefix("EVENT ")
+                .and_then(|h| h.rsplit_once(" ROWS "))
+                .and_then(|(_, n)| n.parse().ok())
+                .unwrap_or_else(|| panic!("expected an EVENT header, got: {header}"));
+            assert_eq!(rows, KEYS as usize);
+            for _ in 0..rows {
+                let row = lines.next().expect("block cut short at end of stream");
+                assert!(row.starts_with("ROW "), "block cut in two after {header}: {row}");
+            }
+            events += 1;
+        }
+        assert_eq!(events, 4 * WINDOWS, "every close reached both subscriptions");
     }
 
     #[test]
