@@ -34,7 +34,16 @@ echo "== server smoke =="
 bash scripts/server_smoke.sh
 
 echo "== benchmark oracles: transcripts vs ShardSet replay, kill -9 recovery (real binary) =="
-bash benchmark/run.sh --quick --workload flood_standing
+# flood_standing: standing set under a closed-loop flood; paced_standing: WAL
+# + late rows + standing set at part load, the path the fan-out writer serves.
+# The harness exits non-zero on a failed oracle; the result line is checked too.
+report=$(mktemp)
+for workload in flood_standing paced_standing; do
+    bash benchmark/run.sh --quick --workload "$workload" | tee "$report"
+    [[ "$(tail -n 1 "$report")" == '{"correct": true,'*'"failed": 0,'* ]] ||
+        { echo "benchmark $workload: oracle or operation failures" >&2; exit 1; }
+done
+rm -f "$report"
 
 echo "== pr6 bench: network ingest (INGESTB + shards) =="
 bash scripts/pr6_bench

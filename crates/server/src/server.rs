@@ -4,26 +4,37 @@
 //! One accept thread spawns one thread per client; all of them share the
 //! engine through a [`ShardSet`] — with `--shards 1` (the default) that
 //! is the classic single mutex, with more shards ingest for different
-//! keys contends on different locks. Connection threads run a tick loop —
-//! read with a short timeout, drain this connection's subscriber queues,
-//! check the shutdown flag — so subscriber fan-out and graceful shutdown
-//! need no extra threads and no async runtime (the build is std-only by
+//! keys contends on different locks. A connection thread reads requests
+//! and writes replies; its read times out every `tick` only so that it
+//! notices the shutdown flag. No async runtime (the build is std-only by
 //! constraint).
 //!
-//! Replies are written with one syscall per request (and one per tick
-//! for all queued subscriber events together), and the `INGESTB` binary
-//! frame path amortizes the request/reply round-trip over thousands of
-//! rows — see DESIGN.md §8 for the wire layout.
+//! Subscriber fan-out is event-driven. A connection's first `SUBSCRIBE`
+//! starts one writer thread for it. Every push into one of the
+//! connection's [`SubscriberQueue`]s signals the connection's [`Wakeup`];
+//! the writer thread blocks on it, then drains all of the connection's
+//! queues into one buffer and writes that with one syscall — so an
+//! `EVENT` reaches the client as soon as it is rendered, and closes that
+//! pile up during a write leave together in the next. Both threads write
+//! the shared socket under one per-connection write lock, which also
+//! guards the subscription list, and the drain happens under it: `OK
+//! SUBSCRIBED <id>` precedes that id's first `EVENT`, nothing of `<id>`
+//! follows `OK UNSUBSCRIBED <id>`, and a block is never cut in two by a
+//! reply. A connection that never subscribes keeps exactly one thread.
+//!
+//! Replies are written with one syscall per request, and the `INGESTB`
+//! binary frame path amortizes the request/reply round-trip over
+//! thousands of rows — see DESIGN.md §8 for the wire layout.
 //!
 //! Shutdown (client `SHUTDOWN`, [`ServerHandle::shutdown`], or Ctrl-C via
 //! the binary) is cooperative: the flag flips, the acceptor is woken by a
-//! loopback connect, every connection flushes its queues and says `BYE`,
-//! the acceptor **joins every connection thread**, and a final snapshot is
-//! written. Nothing detaches.
+//! loopback connect, every connection flushes its queues and says `BYE`
+//! and joins its writer thread, the acceptor **joins every connection
+//! thread**, and a final snapshot is written. Nothing detaches.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -32,7 +43,10 @@ use std::time::{Duration, Instant};
 
 use ausdb_learn::learner::RawObservation;
 use ausdb_model::codec::{decode_ingest_frame, decode_snapshot, encode_snapshot};
-use ausdb_obs::{journal, Counter, Gauge, HealthRegistry, Level, ProbeKind, Registry, SeriesStore};
+use ausdb_obs::hist::log_linear_bounds;
+use ausdb_obs::{
+    journal, Counter, Gauge, HealthRegistry, Histogram, Level, ProbeKind, Registry, SeriesStore,
+};
 use ausdb_wal::{Wal, WalOptions, WalTelemetry};
 
 use crate::http::{HttpRequest, HttpResponse, Router};
@@ -42,7 +56,7 @@ use crate::repl::{self, ReplReply};
 use crate::shard::ShardSet;
 use crate::snapshot::{clean_stale_temps, read_snapshot, write_snapshot};
 use crate::state::{EngineConfig, QueryReply};
-use crate::subscriber::SubscriberQueue;
+use crate::subscriber::{SubscriberQueue, Wakeup};
 
 /// Longest accepted request line; protects against a client streaming
 /// bytes with no newline.
@@ -64,7 +78,8 @@ pub struct ServerConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Engine settings (learner, subscriber limits).
     pub engine: EngineConfig,
-    /// Tick interval for connection loops (read timeout granularity).
+    /// Tick interval for connection loops: the read timeout after which a
+    /// connection checks the shutdown flag. Not a delivery interval.
     pub tick: Duration,
     /// Optional HTTP bind address (e.g. `127.0.0.1:9100`) serving
     /// `GET /metrics` — the same exposition as the `METRICS` protocol
@@ -140,6 +155,9 @@ struct Shared {
     /// `ausdb_journal_dropped_total`, synced from the journal's ring
     /// eviction count whenever metrics render.
     journal_dropped: Arc<Counter>,
+    /// `ausdb_fanout_delay_seconds`: per writer-thread flush, from the
+    /// enqueue of the oldest block in it to the return of `write_all`.
+    fanout_delay: Arc<Histogram>,
     /// The retention store behind `HISTORY` / `GET /history` — the same
     /// store the engine appends accuracy points to at window close; the
     /// sampler thread feeds it metric scrapes.
@@ -185,6 +203,12 @@ impl Server {
         let journal_dropped = srv_registry.counter(
             "ausdb_journal_dropped_total",
             "Journal ring entries overwritten before being drained",
+            &[],
+        );
+        let fanout_delay = srv_registry.histogram(
+            "ausdb_fanout_delay_seconds",
+            "Subscriber fan-out delay: oldest queued block's enqueue to the end of its socket write",
+            &log_linear_bounds(-6, 1),
             &[],
         );
         // A primary is ready as soon as recovery completes (below); a
@@ -312,6 +336,7 @@ impl Server {
             ready,
             health,
             journal_dropped,
+            fanout_delay,
             history,
         });
         let sample_ms =
@@ -502,11 +527,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
-}
-
 /// The protocol lines one request produced — one body, each line
 /// terminated by `\n`, written to the socket as is — plus whether to
 /// close after.
@@ -547,159 +567,291 @@ enum ReadMode {
     },
 }
 
+/// What the two threads of a connection share. Lock order: `out`, then a
+/// subscriber queue, then `wake` — an ingesting thread holds only the
+/// last two, and never while it waits for the first.
+struct Conn {
+    /// The per-connection write lock.
+    out: Mutex<ConnOut>,
+    /// Signalled by every push into a queue on `out`'s subscription list.
+    wake: Arc<Wakeup>,
+}
+
+/// Everything a thread needs the write lock for: the socket's write half
+/// and the list of queues drained into it. Replies and `EVENT` blocks are
+/// written whole under one hold of the lock, so they never interleave.
+struct ConnOut {
+    stream: TcpStream,
+    subscriptions: Vec<(u64, Arc<SubscriberQueue>)>,
+    /// The connection is over (`BYE` written, peer gone, or a write
+    /// failed): the writer thread sends nothing more.
+    closed: bool,
+}
+
+impl ConnOut {
+    /// Drains every subscription's queue (with any `DROPPED` notice) into
+    /// `buf`; returns when the oldest drained block was enqueued.
+    fn drain_into(&self, buf: &mut String) -> Option<Instant> {
+        let stamps = self.subscriptions.iter().map(|(_, queue)| queue.drain_stamped(buf).1);
+        stamps.flatten().min()
+    }
+}
+
+impl Conn {
+    fn lock(&self) -> MutexGuard<'_, ConnOut> {
+        self.out.lock().expect("connection write lock poisoned")
+    }
+
+    /// Writes one whole reply.
+    fn send(&self, reply: &str) -> std::io::Result<()> {
+        self.lock().stream.write_all(reply.as_bytes())
+    }
+}
+
+/// One client connection, on its own thread: requests in, replies out.
+/// Subscriber events go out on a second thread ([`fanout_loop`]), started
+/// by the connection's first `SUBSCRIBE` and joined here.
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.tick));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-    if write_line(&mut stream, "OK ausdb-serve 1 ready").is_err() {
-        return;
+    let Ok(write_half) = stream.try_clone() else { return };
+    let conn = Arc::new(Conn {
+        out: Mutex::new(ConnOut { stream: write_half, subscriptions: Vec::new(), closed: false }),
+        wake: Arc::new(Wakeup::default()),
+    });
+    let mut writer = None;
+    if conn.send("OK ausdb-serve 1 ready\n").is_ok() {
+        serve_requests(&mut stream, &shared, &conn, &mut writer);
     }
-    let mut subscriptions: Vec<(u64, Arc<SubscriberQueue>)> = Vec::new();
+    conn.lock().closed = true;
+    if let Some(writer) = writer {
+        conn.wake.notify();
+        let _ = writer.join();
+    }
+    let subscriptions = std::mem::take(&mut conn.lock().subscriptions);
+    for (id, _) in subscriptions {
+        shared.state.unsubscribe(id);
+    }
+}
+
+/// The request loop: reads with the `tick` timeout (to notice shutdown)
+/// and serves what arrived, until the peer leaves, a write fails, a
+/// request closes the connection, or the server shuts down.
+fn serve_requests(
+    stream: &mut TcpStream,
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    writer: &mut Option<JoinHandle<()>>,
+) {
     let mut pending: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 * 1024];
     let mut mode = ReadMode::Lines;
-    let mut fanout = String::new();
-    'conn: loop {
-        // Fan-out: deliver queued subscriber events (with any DROPPED
-        // notice) before reading the next request — all queues batched
-        // into one buffer, one write syscall per tick.
-        fanout.clear();
-        for (_, queue) in &subscriptions {
-            queue.drain_into(&mut fanout);
-        }
-        if !fanout.is_empty() && stream.write_all(fanout.as_bytes()).is_err() {
-            break 'conn;
-        }
+    loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            fanout.clear();
-            for (_, queue) in &subscriptions {
-                queue.drain_into(&mut fanout);
-            }
-            fanout.push_str("BYE server shutting down\n");
-            let _ = stream.write_all(fanout.as_bytes());
-            break;
+            // Every queued block, `BYE`, and the `closed` mark under one
+            // hold of the write lock: the writer thread sends nothing after.
+            let mut out = conn.lock();
+            let mut bye = String::new();
+            out.drain_into(&mut bye);
+            bye.push_str("BYE server shutting down\n");
+            let _ = out.stream.write_all(bye.as_bytes());
+            out.closed = true;
+            return;
         }
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) => return,
             Ok(n) => {
                 pending.extend_from_slice(&chunk[..n]);
-                loop {
-                    match mode {
-                        ReadMode::Lines => {
-                            let Some(pos) = pending.iter().position(|&b| b == b'\n') else {
-                                if pending.len() > MAX_LINE_BYTES {
-                                    let _ = write_line(&mut stream, "ERR request line too long");
-                                    break 'conn;
-                                }
-                                break;
-                            };
-                            let line_bytes: Vec<u8> = pending.drain(..=pos).collect();
-                            let line = String::from_utf8_lossy(&line_bytes);
-                            let line = line.trim_end_matches(['\n', '\r']);
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            let request = match parse_request(line) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    if write_line(&mut stream, &format!("ERR {e}")).is_err() {
-                                        break 'conn;
-                                    }
-                                    continue;
-                                }
-                            };
-                            match request {
-                                Request::IngestBatch { stream: target, nbytes } => {
-                                    if nbytes > MAX_FRAME_BYTES {
-                                        // The announced frame cannot be valid
-                                        // and skipping it wholesale is the only
-                                        // way to resync — refuse and close.
-                                        let _ = write_line(
-                                            &mut stream,
-                                            &format!(
-                                                "ERR frame of {nbytes} bytes exceeds the \
-                                                 {MAX_FRAME_BYTES}-byte limit"
-                                            ),
-                                        );
-                                        break 'conn;
-                                    }
-                                    mode = ReadMode::Frame { stream: target, want: nbytes };
-                                }
-                                Request::Replicate(from_seq) => {
-                                    // The reply mixes lines and binary
-                                    // payloads, so it bypasses `Reply`.
-                                    let ok = match build_repl_reply(&shared, from_seq) {
-                                        Ok(reply) => repl::write_reply(&mut stream, &reply).is_ok(),
-                                        Err(e) => {
-                                            write_line(&mut stream, &format!("ERR {e}")).is_ok()
-                                        }
-                                    };
-                                    if !ok {
-                                        break 'conn;
-                                    }
-                                }
-                                other => {
-                                    let reply = handle_request(other, &shared, &mut subscriptions);
-                                    if stream.write_all(reply.body.as_bytes()).is_err() {
-                                        break 'conn;
-                                    }
-                                    if reply.close {
-                                        break 'conn;
-                                    }
-                                }
-                            }
+                let Some(consumed) = serve_pending(&pending, &mut mode, shared, conn, writer)
+                else {
+                    return;
+                };
+                pending.drain(..consumed);
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
+            Err(_) => return,
+        }
+    }
+}
+
+/// Serves every complete request in `pending` and returns how many bytes
+/// that consumed, or `None` when the connection is over. Walks the buffer
+/// with a cursor and decodes a frame where it lies: the caller compacts
+/// once per `read`, not once per pipelined line.
+fn serve_pending(
+    pending: &[u8],
+    mode: &mut ReadMode,
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    writer: &mut Option<JoinHandle<()>>,
+) -> Option<usize> {
+    let mut at = 0;
+    loop {
+        let rest = &pending[at..];
+        match mode {
+            ReadMode::Lines => {
+                let Some(len) = rest.iter().position(|&b| b == b'\n') else {
+                    if rest.len() > MAX_LINE_BYTES {
+                        let _ = conn.send("ERR request line too long\n");
+                        return None;
+                    }
+                    return Some(at);
+                };
+                at += len + 1;
+                let line = String::from_utf8_lossy(&rest[..len]);
+                let line = line.trim_end_matches('\r');
+                if line.trim().is_empty() {
+                    continue;
+                }
+                let request = match parse_request(line) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        conn.send(&format!("ERR {e}\n")).ok()?;
+                        continue;
+                    }
+                };
+                match request {
+                    Request::IngestBatch { stream, nbytes } => {
+                        if nbytes > MAX_FRAME_BYTES {
+                            // The announced frame cannot be valid and
+                            // skipping it wholesale is the only way to
+                            // resync — refuse and close.
+                            let _ = conn.send(&format!(
+                                "ERR frame of {nbytes} bytes exceeds the \
+                                 {MAX_FRAME_BYTES}-byte limit\n"
+                            ));
+                            return None;
                         }
-                        ReadMode::Frame { stream: _, want } if pending.len() < want => break,
-                        ReadMode::Frame { stream: ref target, want } => {
-                            let frame: Vec<u8> = pending.drain(..want).collect();
-                            let target = target.clone();
-                            mode = ReadMode::Lines;
-                            let reply = match decode_ingest_frame(&frame) {
-                                // The payload is consumed either way, so
-                                // the follower rejection keeps the byte
-                                // stream in sync.
-                                Ok(_) if shared.follower.load(Ordering::SeqCst) => {
-                                    follower_rejection(&shared)
-                                }
-                                Ok(rows) => {
-                                    let rows: Vec<RawObservation> = rows
-                                        .into_iter()
-                                        .map(|(key, ts, value)| RawObservation::new(key, ts, value))
-                                        .collect();
-                                    match shared.state.ingest_batch(&target, &rows) {
-                                        Ok(out) => format!(
-                                            "OK INGESTED {target} rows={} late={} \
-                                             windows_emitted={}",
-                                            out.accepted, out.late, out.windows_emitted
-                                        ),
-                                        Err(e) => format!("ERR ingest: {e}"),
-                                    }
-                                }
-                                // The payload was fully consumed, so the byte
-                                // stream stays in sync: report and carry on.
-                                Err(e) => format!("ERR frame: {e}"),
-                            };
-                            if write_line(&mut stream, &reply).is_err() {
-                                break 'conn;
+                        *mode = ReadMode::Frame { stream, want: nbytes };
+                    }
+                    Request::Replicate(from_seq) => {
+                        // The reply mixes lines and binary payloads, so
+                        // it bypasses `Reply`.
+                        match build_repl_reply(shared, from_seq) {
+                            Ok(reply) => {
+                                repl::write_reply(&mut conn.lock().stream, &reply).ok()?;
                             }
+                            Err(e) => conn.send(&format!("ERR {e}\n")).ok()?,
+                        }
+                    }
+                    Request::Subscribe(sql) => subscribe(&sql, shared, conn, writer).ok()?,
+                    other => {
+                        let reply = handle_request(other, shared, conn);
+                        conn.send(&reply.body).ok()?;
+                        if reply.close {
+                            return None;
                         }
                     }
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => break,
+            ReadMode::Frame { want, .. } if rest.len() < *want => return Some(at),
+            ReadMode::Frame { stream, want } => {
+                let reply = ingest_frame(shared, stream, &rest[..*want]);
+                at += *want;
+                *mode = ReadMode::Lines;
+                conn.send(&reply).ok()?;
+            }
         }
-    }
-    for (id, _) in &subscriptions {
-        shared.state.unsubscribe(*id);
     }
 }
 
-fn handle_request(
-    request: Request,
-    shared: &Shared,
-    subscriptions: &mut Vec<(u64, Arc<SubscriberQueue>)>,
-) -> Reply {
+/// Applies one complete `INGESTB` frame to `target`; returns the reply
+/// line. The payload is consumed whatever the outcome, so the byte stream
+/// stays in sync after an `ERR`.
+fn ingest_frame(shared: &Shared, target: &str, frame: &[u8]) -> String {
+    match decode_ingest_frame(frame) {
+        Ok(_) if shared.follower.load(Ordering::SeqCst) => follower_rejection(shared) + "\n",
+        Ok(rows) => {
+            let rows: Vec<RawObservation> = rows
+                .into_iter()
+                .map(|(key, ts, value)| RawObservation::new(key, ts, value))
+                .collect();
+            match shared.state.ingest_batch(target, &rows) {
+                Ok(out) => format!(
+                    "OK INGESTED {target} rows={} late={} windows_emitted={}\n",
+                    out.accepted, out.late, out.windows_emitted
+                ),
+                Err(e) => format!("ERR ingest: {e}\n"),
+            }
+        }
+        Err(e) => format!("ERR frame: {e}\n"),
+    }
+}
+
+/// `SUBSCRIBE`: registers the standing query, starts the connection's
+/// writer thread if this is its first subscription, and hands the queue
+/// over to it.
+fn subscribe(
+    sql: &str,
+    shared: &Arc<Shared>,
+    conn: &Arc<Conn>,
+    writer: &mut Option<JoinHandle<()>>,
+) -> std::io::Result<()> {
+    let (id, stream, queue) = match shared.state.subscribe(sql) {
+        Ok(subscription) => subscription,
+        Err(e) => return conn.send(&format!("ERR subscribe: {e}\n")),
+    };
+    if writer.is_none() {
+        let (writer_conn, writer_shared) = (Arc::clone(conn), Arc::clone(shared));
+        match std::thread::Builder::new()
+            .name("ausdb-fanout".to_string())
+            .spawn(move || fanout_loop(&writer_conn, &writer_shared))
+        {
+            Ok(handle) => *writer = Some(handle),
+            Err(e) => {
+                shared.state.unsubscribe(id);
+                return conn.send(&format!("ERR subscribe: no fan-out thread: {e}\n"));
+            }
+        }
+    }
+    queue.attach_wakeup(Arc::clone(&conn.wake));
+    {
+        // On the list and acknowledged under one hold of the write lock:
+        // the writer thread cannot send an `EVENT` of `id` before the `OK`.
+        let mut out = conn.lock();
+        out.subscriptions.push((id, queue));
+        out.stream.write_all(format!("OK SUBSCRIBED {id} {stream}\n").as_bytes())?;
+    }
+    // A window closed between `subscribe` and `attach_wakeup` signalled
+    // nobody; its block is on the list now.
+    conn.wake.notify();
+    Ok(())
+}
+
+/// A subscribing connection's writer thread: sleeps on the connection's
+/// wake-up, then drains every queue into one buffer and writes it with one
+/// syscall. Blocks that pile up during a write go out with the next one,
+/// so a flood batches while a paced stream is delivered as it is rendered.
+fn fanout_loop(conn: &Conn, shared: &Shared) {
+    let mut buf = String::new();
+    loop {
+        conn.wake.wait();
+        let mut out = conn.lock();
+        if out.closed {
+            return;
+        }
+        buf.clear();
+        let oldest = out.drain_into(&mut buf);
+        if buf.is_empty() {
+            continue;
+        }
+        if out.stream.write_all(buf.as_bytes()).is_err() {
+            // The peer left, or stalled past the write timeout with part of
+            // a block on the wire. End the connection for the request loop
+            // too, which releases the subscriptions.
+            out.closed = true;
+            let _ = out.stream.shutdown(Shutdown::Both);
+            return;
+        }
+        drop(out);
+        if let Some(enqueued) = oldest {
+            shared.fanout_delay.observe_duration(enqueued.elapsed());
+        }
+    }
+}
+
+fn handle_request(request: Request, shared: &Shared, conn: &Conn) -> Reply {
     match request {
         Request::Ping => Reply::one("OK PONG"),
         Request::IngestBatch { .. } => {
@@ -707,6 +859,9 @@ fn handle_request(
         }
         Request::Replicate(_) => {
             unreachable!("REPLICATE writes a binary reply in the connection loop")
+        }
+        Request::Subscribe(_) => {
+            unreachable!("SUBSCRIBE hands its queue to the writer thread in the connection loop")
         }
         Request::Ingest { .. } | Request::Restore if shared.follower.load(Ordering::SeqCst) => {
             Reply::one(follower_rejection(shared))
@@ -736,16 +891,16 @@ fn handle_request(
             }
             Err(e) => Reply::err(format!("query: {e}")),
         },
-        Request::Subscribe(sql) => match shared.state.subscribe(&sql) {
-            Ok((id, stream, queue)) => {
-                subscriptions.push((id, queue));
-                Reply::one(format!("OK SUBSCRIBED {id} {stream}"))
-            }
-            Err(e) => Reply::err(format!("subscribe: {e}")),
-        },
         Request::Unsubscribe(id) => {
-            if let Some(pos) = subscriptions.iter().position(|(owned, _)| *owned == id) {
-                subscriptions.remove(pos);
+            // Off the list under the write lock: what the writer thread
+            // sent of `id` is on the wire by now, and nothing of it can
+            // follow the reply.
+            let owned = {
+                let mut out = conn.lock();
+                let pos = out.subscriptions.iter().position(|(owned, _)| *owned == id);
+                pos.map(|pos| out.subscriptions.remove(pos))
+            };
+            if owned.is_some() {
                 shared.state.unsubscribe(id);
                 Reply::one(format!("OK UNSUBSCRIBED {id}"))
             } else {

@@ -1325,7 +1325,8 @@ mod tests {
                 }
                 done.store(true, Ordering::SeqCst);
             });
-            // The connection loop's fan-out step, without the socket.
+            // The writer thread's drain step, without the socket or the
+            // wake-up (`loopback.rs` runs the real two-thread connection).
             let mut fan_out = || {
                 for queue in &queues {
                     queue.drain_into(&mut wire);
@@ -1334,9 +1335,9 @@ mod tests {
             start.wait();
             while !done.load(Ordering::SeqCst) {
                 fan_out();
-                // The connection's tick: closes pile up between fan-outs,
-                // so a block caught mid-push would be completed only after
-                // the other queue's newer events.
+                // Closes pile up between fan-outs, so a block caught
+                // mid-push would be completed only after the other
+                // queue's newer events.
                 std::thread::sleep(std::time::Duration::from_micros(500));
             }
             fan_out();

@@ -1,9 +1,10 @@
 //! Bounded per-subscriber event queues (backpressure).
 //!
 //! Window-close events are pushed by whichever connection thread ingested
-//! the closing observation; each subscriber's own connection thread drains
-//! its queue on its next tick. A slow (or stalled) consumer must never
-//! grow server memory without bound, so the queue has a hard capacity:
+//! the closing observation; a push signals the subscriber connection's
+//! [`Wakeup`], and that connection's writer thread drains the queue and
+//! writes the socket as soon as it runs. A slow (or stalled) consumer must
+//! never grow server memory without bound, so the queue has a hard capacity:
 //! once full, new lines are **dropped, newest first**, and a counter
 //! records how many. The next successful drain prepends a single
 //! `DROPPED <n>` notice so the client knows its view has gaps — the same
@@ -15,16 +16,66 @@
 //! rows, optional `ACCURACY` notice) is rendered into one string and
 //! enqueued under one lock acquisition, so a drain sees all of it or none
 //! of it, and draining is one copy per block. Capacity still counts lines.
+//! A drain swaps the blocks out under the lock and copies them after
+//! releasing it, so an ingesting thread never waits behind the copy.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
+
+/// A connection's wake-up: every queue of the connection signals it on a
+/// push, the connection's writer thread blocks on it. It is a flag, not a
+/// counter — pushes that arrive while a wake-up is already pending find
+/// the flag set and return without touching the condvar, so a flood pays
+/// for one futex wake per writer pass, not one per block.
+#[derive(Debug, Default)]
+pub struct Wakeup {
+    state: Mutex<WakeState>,
+    cond: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct WakeState {
+    pending: bool,
+    /// Idle→pending transitions so far, i.e. condvar notifications.
+    signals: u64,
+}
+
+impl Wakeup {
+    /// Marks the wake-up pending and, if it was idle, wakes the waiter.
+    pub fn notify(&self) {
+        let mut state = self.state.lock().expect("wake-up poisoned");
+        if !state.pending {
+            state.pending = true;
+            state.signals += 1;
+            self.cond.notify_one();
+        }
+    }
+
+    /// Blocks until the wake-up is pending, then clears it. A `notify`
+    /// that came before the call is not lost: the flag is still set.
+    pub fn wait(&self) {
+        let mut state = self.state.lock().expect("wake-up poisoned");
+        while !state.pending {
+            state = self.cond.wait(state).expect("wake-up poisoned");
+        }
+        state.pending = false;
+    }
+
+    /// Condvar notifications issued so far (for tests).
+    pub fn signals(&self) -> u64 {
+        self.state.lock().expect("wake-up poisoned").signals
+    }
+}
 
 /// A bounded FIFO of protocol lines for one subscriber.
 #[derive(Debug)]
 pub struct SubscriberQueue {
     inner: Mutex<QueueInner>,
     capacity: usize,
+    /// The owning connection's wake-up, attached once after `SUBSCRIBE`.
+    wake: OnceLock<Arc<Wakeup>>,
 }
 
 #[derive(Debug, Default)]
@@ -34,12 +85,44 @@ struct QueueInner {
     /// Lines held by `blocks` in total.
     lines: usize,
     dropped: u64,
+    /// When the oldest queued block was pushed (telemetry-gated; feeds
+    /// `ausdb_fanout_delay_seconds`).
+    oldest: Option<Instant>,
+}
+
+impl QueueInner {
+    fn enqueue(&mut self, block: String, lines: usize) {
+        if self.blocks.is_empty() {
+            self.oldest = ausdb_obs::now_if_enabled();
+        }
+        self.blocks.push_back(block);
+        self.lines += lines;
+    }
 }
 
 impl SubscriberQueue {
     /// Creates a queue holding at most `capacity` lines (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        Self { inner: Mutex::new(QueueInner::default()), capacity: capacity.max(1) }
+        Self {
+            inner: Mutex::new(QueueInner::default()),
+            capacity: capacity.max(1),
+            wake: OnceLock::new(),
+        }
+    }
+
+    /// Attaches the wake-up every later accepted push signals. The caller
+    /// notifies it once afterwards, for pushes that came before the
+    /// attachment. A queue belongs to one connection: a second call is
+    /// ignored.
+    pub fn attach_wakeup(&self, wake: Arc<Wakeup>) {
+        let _ = self.wake.set(wake);
+    }
+
+    /// Signals the attached wake-up, after the queue lock is released.
+    fn signal(&self) {
+        if let Some(wake) = self.wake.get() {
+            wake.notify();
+        }
     }
 
     /// The queue's capacity in lines.
@@ -56,12 +139,12 @@ impl SubscriberQueue {
         let mut inner = self.inner.lock().expect("subscriber queue poisoned");
         if inner.lines >= self.capacity {
             inner.dropped += 1;
-            false
-        } else {
-            inner.blocks.push_back(line);
-            inner.lines += 1;
-            true
+            return false;
         }
+        inner.enqueue(line, 1);
+        drop(inner);
+        self.signal();
+        true
     }
 
     /// Enqueues a batch of lines one by one; stops counting-in once full.
@@ -90,8 +173,9 @@ impl SubscriberQueue {
                 text.match_indices('\n').nth(fit - 1).expect("block has `lines` newlines");
             text.truncate(cut + 1);
         }
-        inner.blocks.push_back(text);
-        inner.lines += fit;
+        inner.enqueue(text, fit);
+        drop(inner);
+        self.signal();
         fit
     }
 
@@ -106,21 +190,40 @@ impl SubscriberQueue {
     /// Drains like [`SubscriberQueue::drain`] but appends the lines (each
     /// with its trailing `\n`) to `out` instead of allocating a vector —
     /// the fan-out path batches every queue's blocks into one buffer and
-    /// flushes it with a single write syscall per tick. Returns the
-    /// number of lines appended. The `DROPPED <n>` gap notice keeps its
-    /// exact semantics: emitted first, counter reset.
+    /// flushes it with a single write syscall. Returns the number of lines
+    /// appended. The `DROPPED <n>` gap notice keeps its exact semantics:
+    /// emitted first, counter reset.
     pub fn drain_into(&self, out: &mut String) -> usize {
-        let mut inner = self.inner.lock().expect("subscriber queue poisoned");
-        let mut n = std::mem::take(&mut inner.lines);
-        if inner.dropped > 0 {
-            let _ = writeln!(out, "DROPPED {}", inner.dropped);
-            inner.dropped = 0;
+        self.drain_stamped(out).0
+    }
+
+    /// [`SubscriberQueue::drain_into`], plus when the oldest drained block
+    /// was pushed (`None` when nothing was queued or telemetry is off).
+    pub(crate) fn drain_stamped(&self, out: &mut String) -> (usize, Option<Instant>) {
+        let (mut blocks, mut n, dropped, oldest) = {
+            let mut inner = self.inner.lock().expect("subscriber queue poisoned");
+            (
+                std::mem::take(&mut inner.blocks),
+                std::mem::take(&mut inner.lines),
+                std::mem::take(&mut inner.dropped),
+                inner.oldest.take(),
+            )
+        };
+        if dropped > 0 {
+            let _ = writeln!(out, "DROPPED {dropped}");
             n += 1;
         }
-        for block in inner.blocks.drain(..) {
+        for block in blocks.drain(..) {
             out.push_str(&block);
         }
-        n
+        // Hand the emptied deque back unless pushes already started a new
+        // one: the next burst then finds its capacity instead of regrowing.
+        let mut inner = self.inner.lock().expect("subscriber queue poisoned");
+        if inner.blocks.capacity() == 0 {
+            inner.blocks = blocks;
+        }
+        drop(inner);
+        (n, oldest)
     }
 
     /// Lines currently queued (for stats and tests).
@@ -143,6 +246,48 @@ impl SubscriberQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Runs `wait` on another thread, so a lost wake-up fails the test
+    /// instead of hanging it.
+    fn wait_returns(wake: &Arc<Wakeup>) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(wake);
+        let handle = std::thread::spawn(move || {
+            waiter.wait();
+            let _ = tx.send(());
+        });
+        let returned = rx.recv_timeout(std::time::Duration::from_secs(5)).is_ok();
+        if returned {
+            handle.join().expect("waiter panicked");
+        }
+        returned
+    }
+
+    #[test]
+    fn push_before_wait_is_not_lost_and_pending_pushes_share_one_signal() {
+        let q = SubscriberQueue::new(64);
+        q.push("before attach".into());
+        let wake = Arc::new(Wakeup::default());
+        q.attach_wakeup(Arc::clone(&wake));
+        assert_eq!(wake.signals(), 0, "nothing attached when that line was pushed");
+        // What the SUBSCRIBE arm does after attaching.
+        wake.notify();
+        for i in 0..5 {
+            q.push(format!("line {i}"));
+        }
+        q.push_block("h\nr\n".into(), 2);
+        assert_eq!(wake.signals(), 1, "pushes while pending do not notify again");
+        assert!(wait_returns(&wake), "a notify before the wait must end it");
+        assert_eq!(q.drain().len(), 8);
+
+        // The wait cleared the flag: the next accepted push is a fresh
+        // transition, a rejected one (queue full) is not.
+        let full = SubscriberQueue::new(1);
+        full.attach_wakeup(Arc::clone(&wake));
+        assert!(full.push("a".into()));
+        assert!(!full.push("b".into()));
+        assert_eq!(wake.signals(), 2);
+    }
 
     #[test]
     fn bounded_with_drop_notice() {

@@ -15,7 +15,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use ausdb_learn::accuracy::DistKind;
-use ausdb_learn::learner::LearnerConfig;
+use ausdb_learn::learner::{LearnerConfig, RawObservation};
+use ausdb_serve::client::BatchClient;
 use ausdb_serve::render::{render_rows, render_schema};
 use ausdb_serve::server::{Server, ServerConfig, ServerHandle};
 use ausdb_serve::state::{EngineConfig, EngineState};
@@ -215,57 +216,237 @@ fn kill_and_restore_resumes_identical_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Closes windows on `traffic` — one key, so every event is `EVENT` + one
+/// `ROW` — until the writer thread of the stalled subscriber 1 is stuck in
+/// `write`: the socket buffers are full, the cap-6 queue behind them is
+/// full, and three batches in a row were dropped line for line (a drain in
+/// between would have reset the pending count). `observer` reads `STATS`.
+/// Returns the event lines generated in total.
+fn close_windows_until_the_writer_blocks(handle: &ServerHandle, observer: &mut Client) -> u64 {
+    const BATCH: u64 = 1_000;
+    let cap = engine_config().queue_cap as u64;
+    let mut producer = BatchClient::connect(&handle.addr().to_string()).expect("connect");
+    let mut generated = 0u64;
+    let (mut dropped_before, mut stuck_batches) = (0u64, 0);
+    for batch in 0..1_000u64 {
+        let rows: Vec<RawObservation> = (batch * BATCH..(batch + 1) * BATCH)
+            .flat_map(|w| {
+                let base = 100 + w * WINDOW;
+                [RawObservation::new(19, base, 50.0), RawObservation::new(19, base + 1, 60.0)]
+            })
+            .collect();
+        let batch_lines = 2 * producer.ingest_batch("traffic", &rows).unwrap().windows_emitted;
+        generated += batch_lines;
+        let stats = observer.request("STATS");
+        let line = stats.iter().find(|l| l.starts_with("subscriber 1 ")).expect("subscriber line");
+        let field = |name: &str| -> u64 {
+            let value = line.split_whitespace().find_map(|kv| kv.strip_prefix(name));
+            value.unwrap_or_else(|| panic!("no {name} in {line}")).parse().unwrap()
+        };
+        let (queued, dropped) = (field("queued="), field("dropped_pending="));
+        assert!(queued <= cap, "queue holds {queued} lines over a cap of {cap}");
+        let stuck = queued == cap && dropped_before > 0 && dropped == dropped_before + batch_lines;
+        stuck_batches = if stuck { stuck_batches + 1 } else { 0 };
+        if stuck_batches == 3 {
+            return generated;
+        }
+        dropped_before = dropped;
+    }
+    panic!("the subscriber's socket took {generated} event lines without blocking the writer");
+}
+
 #[test]
 fn stalled_subscriber_bounds_memory_with_drop_notices() {
-    // Long tick: the subscriber's connection thread drains at most once
-    // per second, so a fast pipelined burst must overflow the cap-6 queue.
-    let handle = start_server(None, Duration::from_millis(1000));
+    let handle = start_server(None, Duration::from_millis(25));
     let mut subscriber = Client::connect(&handle);
     let reply = subscriber.request("SUBSCRIBE SELECT * FROM traffic");
     assert!(reply[0].starts_with("OK SUBSCRIBED 1"), "got {reply:?}");
 
-    // Stall the subscriber (no reads) while another client closes many
-    // windows in one pipelined write.
-    let mut producer = Client::connect(&handle);
-    let mut burst = String::new();
-    for w in 0..40u64 {
-        let base = 100 + w * WINDOW;
-        burst.push_str(&format!("INGEST traffic 19,{base},50\n"));
-        burst.push_str(&format!("INGEST traffic 19,{},60\n", base + 1));
-    }
-    producer.stream.write_all(burst.as_bytes()).unwrap();
-    for _ in 0..80 {
-        let line = producer.read_line();
-        assert!(line.starts_with("OK INGESTED"), "got {line}");
-    }
+    // The subscriber stops reading. Its writer thread delivers until the
+    // socket buffers are full and then blocks; from there on the queue is
+    // the only place left, and it holds 6 lines.
+    let mut observer = Client::connect(&handle);
+    let generated = close_windows_until_the_writer_blocks(&handle, &mut observer);
 
-    // 39 closed windows × 2 lines each ≫ queue cap 6: the subscriber must
-    // see a DROPPED notice, and the total delivered event lines must
-    // respect the bound (cap lines per drain cycle).
-    let mut saw_dropped = false;
-    let mut event_lines = 0usize;
+    // The request thread stays responsive: the PING waits for the write
+    // lock, not for a tick, and is answered once the peer reads again. The
+    // gap notice and the queue's last lines may land on either side of it.
     subscriber.send("PING");
-    loop {
+    let (mut delivered, mut dropped, mut since_notice) = (0u64, 0u64, 0usize);
+    let mut pong = false;
+    while !(pong && delivered + dropped == generated) {
         let line = subscriber.read_line();
-        if line.starts_with("DROPPED ") {
-            let n: u64 = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+        if let Some(n) = line.strip_prefix("DROPPED ") {
+            let n: u64 = n.parse().unwrap();
             assert!(n > 0);
-            saw_dropped = true;
+            dropped += n;
+            since_notice = 0;
         } else if line.starts_with("EVENT") || line.starts_with("ROW") {
-            event_lines += 1;
+            delivered += 1;
+            since_notice += 1;
         } else if line == "OK PONG" {
-            break;
+            pong = true;
         } else {
             panic!("unexpected line: {line}");
         }
+        assert!(delivered + dropped <= generated, "more lines accounted for than generated");
     }
-    assert!(saw_dropped, "queue overflow must surface as DROPPED <n>");
+    assert!(dropped > 0, "queue overflow must surface as DROPPED <n>");
     assert!(
-        event_lines <= 2 * engine_config().queue_cap,
-        "delivered {event_lines} lines for a cap of {}",
+        since_notice <= engine_config().queue_cap,
+        "{since_notice} lines followed the last gap notice for a cap of {}",
         engine_config().queue_cap
     );
     handle.stop();
+}
+
+#[test]
+fn write_timeout_on_a_stalled_subscriber_ends_the_connection() {
+    let handle = start_server(None, Duration::from_millis(25));
+    let mut subscriber = Client::connect(&handle);
+    let reply = subscriber.request("SUBSCRIBE SELECT * FROM traffic");
+    assert!(reply[0].starts_with("OK SUBSCRIBED 1"), "got {reply:?}");
+    let mut observer = Client::connect(&handle);
+    close_windows_until_the_writer_blocks(&handle, &mut observer);
+
+    // The peer never reads again: the blocked write gives up after the 5 s
+    // write timeout, the writer thread shuts the socket down, the request
+    // thread sees the end of the stream and releases the subscription.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        let health = observer.request("HEALTH");
+        if health[0].contains(" subscribers=0 ") {
+            break;
+        }
+        assert!(health[0].contains(" subscribers=1 "), "got {}", health[0]);
+        assert!(std::time::Instant::now() < deadline, "subscription never released");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    handle.stop();
+}
+
+/// With delivery driven by the push, not by the connection's read
+/// timeout, a 2 s tick must not show up in the notice latency.
+#[test]
+fn event_arrives_without_waiting_for_a_tick() {
+    let handle = start_server(None, Duration::from_secs(2));
+    let mut subscriber = Client::connect(&handle);
+    let reply = subscriber.request("SUBSCRIBE SELECT * FROM traffic");
+    assert!(reply[0].starts_with("OK SUBSCRIBED 1"), "got {reply:?}");
+    let mut producer = Client::connect(&handle);
+    ingest_rows_via(&mut producer, &[(19, 100, 50.0), (19, 101, 60.0)]);
+    let ack = producer.request("INGEST traffic 19,110,55");
+    assert_eq!(ack[0], "OK INGESTED traffic windows_emitted=1");
+    let acked = std::time::Instant::now();
+    assert_eq!(subscriber.read_line(), "EVENT 1 WINDOW 100 ROWS 1");
+    let waited = acked.elapsed();
+    assert!(waited < Duration::from_millis(250), "EVENT came {waited:?} after the ack");
+    handle.stop();
+}
+
+/// The two threads of a subscribing connection against a concurrent
+/// ingest flood on another connection: every ordering the protocol
+/// promises must survive on the wire.
+#[test]
+fn fan_out_keeps_protocol_order_under_a_concurrent_flood() {
+    const KEYS: i64 = 16;
+    let handle = Server::start(ServerConfig {
+        engine: EngineConfig { queue_cap: 1 << 20, ..engine_config() },
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let start = std::sync::Barrier::new(2);
+    let mut subscriber = Client::connect(&handle);
+    let mut transcript: Vec<String> = Vec::new();
+
+    let windows_sent = std::thread::scope(|scope| {
+        let flood = scope.spawn(|| {
+            let mut producer = BatchClient::connect(&handle.addr().to_string()).expect("connect");
+            start.wait();
+            let mut w = 0u64;
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                // Four windows per frame: closes pile up behind one write.
+                let rows: Vec<RawObservation> = (w..w + 4)
+                    .flat_map(|w| (0..KEYS).map(move |key| (w, key)))
+                    .flat_map(|(w, key)| {
+                        let base = 100 + w * WINDOW;
+                        let v = 40.0 + key as f64;
+                        [RawObservation::new(key, base, v), RawObservation::new(key, base + 1, v)]
+                    })
+                    .collect();
+                producer.ingest_batch("traffic", &rows).unwrap();
+                w += 4;
+            }
+            w
+        });
+
+        // Reads until `done` says so, keeping every line.
+        let mut read_until = |subscriber: &mut Client, done: &dyn Fn(&[String]) -> bool| {
+            while !done(&transcript) {
+                transcript.push(subscriber.read_line());
+            }
+        };
+        let events_of = |lines: &[String], id: u64| {
+            lines.iter().filter(|l| l.starts_with(&format!("EVENT {id} "))).count()
+        };
+        start.wait();
+        let four = "SUBSCRIBE SELECT * FROM traffic\n".repeat(4);
+        subscriber.stream.write_all(four.as_bytes()).unwrap();
+        read_until(&mut subscriber, &|lines| events_of(lines, 2) >= 20);
+        subscriber.send("UNSUBSCRIBE 2");
+        read_until(&mut subscriber, &|lines| {
+            let acked = lines.iter().position(|l| l == "OK UNSUBSCRIBED 2");
+            acked.is_some_and(|at| events_of(&lines[at..], 1) >= 20)
+        });
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        flood.join().expect("flood thread")
+    });
+    // Straight into shutdown: whatever the writer thread has not sent yet
+    // must still come before BYE.
+    handle.shutdown();
+    loop {
+        let mut line = String::new();
+        if subscriber.reader.read_line(&mut line).expect("read line") == 0 {
+            break;
+        }
+        transcript.push(line.trim_end().to_string());
+    }
+    handle.join();
+
+    assert_eq!(transcript.last().map(String::as_str), Some("BYE server shutting down"));
+    let last_closed = 100 + (windows_sent - 2) * WINDOW;
+    let mut live: std::collections::BTreeMap<u64, Option<u64>> = Default::default();
+    let mut lines = transcript[..transcript.len() - 1].iter();
+    while let Some(line) = lines.next() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        match words[..] {
+            ["OK", "SUBSCRIBED", id, "traffic"] => {
+                live.insert(id.parse().unwrap(), None);
+            }
+            ["OK", "UNSUBSCRIBED", id] => {
+                live.remove(&id.parse().unwrap()).expect("was subscribed");
+            }
+            ["EVENT", id, "WINDOW", window, "ROWS", rows] => {
+                let window: u64 = window.parse().unwrap();
+                let last = live
+                    .get_mut(&id.parse().unwrap())
+                    .unwrap_or_else(|| panic!("{line} outside SUBSCRIBED..UNSUBSCRIBED of its id"));
+                assert!(last.is_none_or(|w| w + WINDOW == window), "gap before {line}");
+                *last = Some(window);
+                assert_eq!(rows.parse(), Ok(KEYS));
+                for _ in 0..KEYS {
+                    let row = lines.next().expect("block cut short by BYE");
+                    assert!(row.starts_with("ROW "), "block cut in two after {line}: {row}");
+                }
+            }
+            _ => panic!("unexpected line: {line}"),
+        }
+    }
+    assert_eq!(live.keys().collect::<Vec<_>>(), [&1, &3, &4]);
+    for (id, last) in live {
+        assert_eq!(last, Some(last_closed), "subscription {id} lost its last blocks to BYE");
+    }
 }
 
 #[test]

@@ -329,6 +329,10 @@ grep -q '^SLO 1 stream=traffic target=0.000000001 violations=[1-9]' "$WORK/slo_l
 http_get /metrics "$WORK/metrics7"
 grep -q '^ausdb_accuracy_slo_violations_total{query="1"} [1-9]' "$WORK/metrics7" ||
     fail "violation counter not exported"
+# The subscriber's writer thread flushed that block, so the fan-out delay
+# family (enqueue of the oldest block -> end of the socket write) has a sample.
+grep -q '^ausdb_fanout_delay_seconds_count [1-9]' "$WORK/metrics7" ||
+    fail "ausdb_fanout_delay_seconds has no sample after an EVENT was delivered"
 send "SHUTDOWN"
 expect "OK shutting down"
 exec 3<&- 3>&- 5<&- 5>&-
