@@ -30,15 +30,20 @@ echo "== telemetry: server tests + determinism invariant =="
 cargo test -q -p ausdb-serve
 cargo test -q -p ausdb-serve --test loopback telemetry_flag_does_not_affect_results
 
+echo "== number text: release-mode differential vs Display (>= 20M bit patterns) =="
+cargo test -q --release -p ausdb-serve --lib numtext::tests::writer_equals_display_at_volume -- --ignored
+
 echo "== server smoke =="
 bash scripts/server_smoke.sh
 
 echo "== benchmark oracles: transcripts vs ShardSet replay, kill -9 recovery (real binary) =="
 # flood_standing: standing set under a closed-loop flood; paced_standing: WAL
-# + late rows + standing set at part load, the path the fan-out writer serves.
+# + late rows + standing set at part load, the path the fan-out writer serves;
+# paced_query: the only workload whose replies carry `emp(…)` samples and
+# bootstrap intervals end to end.
 # The harness exits non-zero on a failed oracle; the result line is checked too.
 report=$(mktemp)
-for workload in flood_standing paced_standing; do
+for workload in flood_standing paced_standing paced_query; do
     bash benchmark/run.sh --quick --workload "$workload" | tee "$report"
     [[ "$(tail -n 1 "$report")" == '{"correct": true,'*'"failed": 0,'* ]] ||
         { echo "benchmark $workload: oracle or operation failures" >&2; exit 1; }

@@ -30,7 +30,9 @@
 //! * [`subscriber`] — bounded per-subscriber queues: slow consumers get
 //!   `DROPPED <n>` notices, never unbounded memory.
 //! * [`render`] — injective text rendering of result rows, so bit-identical
-//!   results render to byte-identical protocol lines.
+//!   results render to byte-identical protocol lines; its numbers come from
+//!   the crate-private `numtext` kernel (shortest round-trip decimals,
+//!   DESIGN.md §5), not from `core::fmt`.
 //! * [`snapshot`] — fsync-safe atomic snapshot files over the hand-rolled
 //!   versioned binary codec in [`ausdb_model::codec`].
 //! * [`repl`] — the pull-based replication wire format: a follower started
@@ -91,10 +93,13 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)] // overridden only in `signal::imp` for `signal(2)`
+// Overridden only in `signal::imp`, for `signal(2)`, and in `numtext`, for
+// the unchecked append of the ASCII it has just written.
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod http;
+mod numtext;
 pub mod protocol;
 pub mod render;
 pub mod repl;

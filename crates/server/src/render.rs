@@ -2,10 +2,16 @@
 //!
 //! `QUERY` responses must let a client prove bit-identical results across
 //! processes, so this renderer is **injective on bits**: every `f64` is
-//! formatted with Rust's shortest-round-trip `Display` (distinct bit
-//! patterns always produce distinct text), and every structural component
+//! written by the server's own number-to-text kernel (`numtext`:
+//! the shortest positional decimal that parses back to the same bits, so
+//! distinct finite bit patterns always produce distinct text — DESIGN.md
+//! §5, "number text on the wire"), and every structural component
 //! (accuracy intervals, membership CI, distribution parameters) is
-//! included. Two tuples render to the same line iff they are equal.
+//! included. Two tuples render to the same line iff they are equal; the
+//! one exception is NaN, whose sign and payload are not printed.
+//!
+//! Numbers never pass through `core::fmt`: the only formatter call left
+//! on the row path is the `{:?}` escape of [`Value::Str`].
 
 use std::fmt::Write as _;
 
@@ -15,6 +21,8 @@ use ausdb_model::schema::Schema;
 use ausdb_model::tuple::{Field, Tuple};
 use ausdb_model::value::Value;
 use ausdb_stats::ci::ConfidenceInterval;
+
+use crate::numtext::{push_f64, push_i64, push_u64};
 
 /// Renders a schema as one line: `SCHEMA name:type ...`.
 pub fn render_schema(schema: &Schema) -> String {
@@ -27,14 +35,15 @@ pub fn render_schema(schema: &Schema) -> String {
 pub fn render_schema_into(out: &mut String, schema: &Schema) {
     out.push_str("SCHEMA");
     for col in schema.columns() {
-        let ty = match col.ty {
-            ausdb_model::schema::ColumnType::Int => "int",
-            ausdb_model::schema::ColumnType::Float => "float",
-            ausdb_model::schema::ColumnType::Bool => "bool",
-            ausdb_model::schema::ColumnType::Str => "str",
-            ausdb_model::schema::ColumnType::Dist => "dist",
-        };
-        let _ = write!(out, " {}:{}", col.name, ty);
+        out.push(' ');
+        out.push_str(&col.name);
+        out.push_str(match col.ty {
+            ausdb_model::schema::ColumnType::Int => ":int",
+            ausdb_model::schema::ColumnType::Float => ":float",
+            ausdb_model::schema::ColumnType::Bool => ":bool",
+            ausdb_model::schema::ColumnType::Str => ":str",
+            ausdb_model::schema::ColumnType::Dist => ":dist",
+        });
     }
 }
 
@@ -45,16 +54,22 @@ pub fn render_row(tuple: &Tuple) -> String {
     out
 }
 
-/// Renders all tuples of a result, one line each, in order.
+/// Renders all tuples of a result, one line each, in order: the block
+/// [`render_rows_into`] writes, split at its newlines (a string value's
+/// own newlines are escaped), so each line is allocated once, at its size.
 pub fn render_rows(tuples: &[Tuple]) -> Vec<String> {
-    tuples.iter().map(render_row).collect()
+    let mut block = String::new();
+    render_rows_into(&mut block, tuples);
+    block.split_terminator('\n').map(str::to_owned).collect()
 }
 
 /// Appends one tuple's `ROW` line to `out` (no trailing newline). This is
 /// the only renderer: every other entry point wraps it, so a row reaches
 /// a reply or an `EVENT` block without intermediate strings.
 pub fn render_row_into(out: &mut String, tuple: &Tuple) {
-    let _ = write!(out, "ROW ts={} ", tuple.ts);
+    out.push_str("ROW ts=");
+    push_u64(out, tuple.ts);
+    out.push(' ');
     membership_into(out, &tuple.membership);
     for field in &tuple.fields {
         out.push(' ');
@@ -77,23 +92,32 @@ pub fn render_trace_entry(entry: &ausdb_obs::journal::Entry) -> String {
 }
 
 fn membership_into(out: &mut String, m: &TupleProbability) {
-    let _ = write!(out, "p={}", m.p);
+    out.push_str("p=");
+    push_f64(out, m.p);
     if let Some(ci) = &m.ci {
         ci_into(out, ci);
     }
     if let Some(n) = m.sample_size {
-        let _ = write!(out, "@n={n}");
+        out.push_str("@n=");
+        push_u64(out, n as u64);
     }
 }
 
 fn ci_into(out: &mut String, ci: &ConfidenceInterval) {
-    let _ = write!(out, "[{},{};{}]", ci.lo, ci.hi, ci.level);
+    out.push('[');
+    push_f64(out, ci.lo);
+    out.push(',');
+    push_f64(out, ci.hi);
+    out.push(';');
+    push_f64(out, ci.level);
+    out.push(']');
 }
 
 fn field_into(out: &mut String, field: &Field) {
     value_into(out, &field.value);
     if let Some(n) = field.sample_size {
-        let _ = write!(out, "|n={n}");
+        out.push_str("|n=");
+        push_u64(out, n as u64);
     }
     if let Some(acc) = &field.accuracy {
         out.push('|');
@@ -102,7 +126,8 @@ fn field_into(out: &mut String, field: &Field) {
 }
 
 fn accuracy_into(out: &mut String, acc: &AccuracyInfo) {
-    let _ = write!(out, "acc(n={}", acc.sample_size);
+    out.push_str("acc(n=");
+    push_u64(out, acc.sample_size as u64);
     if let Some(ci) = &acc.mean_ci {
         out.push_str(",mean=");
         ci_into(out, ci);
@@ -126,16 +151,11 @@ fn accuracy_into(out: &mut String, acc: &AccuracyInfo) {
 fn value_into(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(f) => {
-            let _ = write!(out, "{f}");
-        }
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => push_i64(out, *i),
+        Value::Float(f) => push_f64(out, *f),
         // Escape whitespace so a string can never forge field boundaries.
+        // `{:?}` is the one `core::fmt` call a row can still make.
         Value::Str(s) => {
             let _ = write!(out, "{s:?}");
         }
@@ -148,17 +168,23 @@ fn floats_into(out: &mut String, xs: &[f64]) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{x}");
+        push_f64(out, *x);
     }
 }
 
 fn dist_into(out: &mut String, d: &AttrDistribution) {
     match d {
         AttrDistribution::Point(v) => {
-            let _ = write!(out, "point({v})");
+            out.push_str("point(");
+            push_f64(out, *v);
+            out.push(')');
         }
         AttrDistribution::Gaussian { mu, sigma2 } => {
-            let _ = write!(out, "gauss({mu},{sigma2})");
+            out.push_str("gauss(");
+            push_f64(out, *mu);
+            out.push(',');
+            push_f64(out, *sigma2);
+            out.push(')');
         }
         AttrDistribution::Histogram(h) => {
             out.push_str("hist(edges=");
@@ -173,7 +199,9 @@ fn dist_into(out: &mut String, d: &AttrDistribution) {
                 if i > 0 {
                     out.push(';');
                 }
-                let _ = write!(out, "{v}:{p}");
+                push_f64(out, *v);
+                out.push(':');
+                push_f64(out, *p);
             }
             out.push(')');
         }
@@ -185,8 +213,14 @@ fn dist_into(out: &mut String, d: &AttrDistribution) {
     }
 }
 
+/// The renderer as it was when `core::fmt` wrote the numbers.
+#[cfg(test)]
+#[path = "../tests/support/display_oracle.rs"]
+mod display_oracle;
+
 #[cfg(test)]
 mod tests {
+    use super::display_oracle;
     use super::*;
     use ausdb_model::schema::{Column, ColumnType};
     use proptest::prelude::*;
@@ -354,7 +388,12 @@ mod tests {
                 let n = floats.len();
                 let f = &mut floats[slot % n];
                 let flipped = f64::from_bits(f.to_bits() ^ (1u64 << bit));
-                // NaN payloads all print "NaN"; no result carries one.
+                // The one place the renderer is not injective: every NaN
+                // prints "NaN", whatever its sign and payload. Results can
+                // carry one (an overflowing scalar projection: inf - inf);
+                // `non_finite_values_match_the_oracle` and loopback's
+                // `non_finite_query_results_match_the_display_oracle` pin
+                // the text.
                 prop_assume!(!flipped.is_nan());
                 **f = flipped;
             }
@@ -364,10 +403,133 @@ mod tests {
 
     #[test]
     fn distinct_bits_render_distinctly() {
-        // f64 Display is shortest-round-trip: nextafter(1.0) ≠ "1".
+        // Number text is shortest-round-trip: nextafter(1.0) ≠ "1".
         let a = Tuple::certain(0, vec![Field::plain(1.0f64)]);
         let b = Tuple::certain(0, vec![Field::plain(f64::from_bits(1.0f64.to_bits() + 1))]);
         assert_ne!(render_row(&a), render_row(&b));
+    }
+
+    /// Schema and rows through the shipped renderer and through the
+    /// `Display` oracle.
+    fn both_renderings(schema: &Schema, tuples: &[Tuple]) -> (String, String) {
+        let (mut ours, mut oracle) = (String::new(), String::new());
+        render_schema_into(&mut ours, schema);
+        ours.push('\n');
+        render_rows_into(&mut ours, tuples);
+        display_oracle::render_schema_into(&mut oracle, schema);
+        oracle.push('\n');
+        display_oracle::render_rows_into(&mut oracle, tuples);
+        (ours, oracle)
+    }
+
+    #[test]
+    fn golden_tuples_match_the_oracle() {
+        let schema = Schema::new(vec![Column::new("v", ColumnType::Float)]).unwrap();
+        let (ours, oracle) = both_renderings(&schema, &golden_tuples());
+        assert_eq!(ours, oracle);
+    }
+
+    #[test]
+    fn non_finite_values_match_the_oracle() {
+        let specials = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            1e21,
+        ];
+        let tuples = vec![
+            Tuple::certain(1, specials.iter().map(|&x| Field::plain(x)).collect()),
+            Tuple::with_membership(
+                2,
+                vec![
+                    Field::plain(AttrDistribution::Empirical(specials.to_vec())),
+                    Field::plain(AttrDistribution::Gaussian {
+                        mu: f64::NAN,
+                        sigma2: f64::INFINITY,
+                    })
+                    .with_accuracy(
+                        AccuracyInfo::new(0)
+                            .with_mean_ci(ci(f64::NEG_INFINITY, f64::INFINITY, 0.9))
+                            .with_variance_ci(ci(f64::NAN, f64::NAN, 0.5)),
+                    ),
+                ],
+                TupleProbability {
+                    p: f64::NAN,
+                    ci: Some(ci(-0.0, 5e-324, 0.9)),
+                    sample_size: None,
+                },
+            ),
+        ];
+        let schema = Schema::new(vec![Column::new("v", ColumnType::Float)]).unwrap();
+        let (ours, oracle) = both_renderings(&schema, &tuples);
+        assert_eq!(ours, oracle);
+        assert!(ours.contains("ROW ts=1 p=1 NaN NaN NaN inf -inf -0 0.000"), "{ours}");
+        assert!(ours.contains("mean=[-inf,inf;0.9],var=[NaN,NaN;0.5]"), "{ours}");
+    }
+
+    /// One `CartelSim` window through the six benchmark-shaped queries
+    /// (`benchmark/src/input.rs::query_set`), the 1000-point `emp(…)` of
+    /// the Monte-Carlo one included: block for block the bytes of the
+    /// `Display` oracle.
+    #[test]
+    fn benchmark_shaped_blocks_match_the_oracle() {
+        use ausdb_learn::learner::{LearnerConfig, RawObservation};
+        const KEYS: usize = 24;
+        const WINDOW: u64 = 60;
+        let sim = ausdb_datagen::CartelSim::new(KEYS, 15);
+        let mut means: Vec<f64> = sim.segments().iter().map(|s| s.true_mean()).collect();
+        means.sort_by(f64::total_cmp);
+        let t = (means[KEYS / 2] * 1000.0).round() / 1000.0;
+
+        let mut rng = ausdb_stats::rng::substream(15, 0xBE7C);
+        let mut rows: Vec<RawObservation> = (0..KEYS * 20)
+            .map(|i| {
+                let key = i % KEYS;
+                let ts = (i / KEYS) as u64 * 3;
+                RawObservation::new(key as i64, ts, sim.segments()[key].observe(&mut rng))
+            })
+            .collect();
+        rows.push(RawObservation::new(0, WINDOW, 1.0)); // closes window 0
+        let mut state = crate::state::EngineState::new(crate::state::EngineConfig {
+            learner: LearnerConfig::gaussian(WINDOW),
+            max_subscribers: 1,
+            queue_cap: 1,
+            shards: 1,
+        });
+        assert_eq!(state.ingest_batch("traffic", &rows).unwrap().windows_emitted, 1);
+
+        let queries = [
+            "SELECT * FROM traffic".to_string(),
+            format!("SELECT key, value FROM traffic WHERE value > {t} PROB 0.5"),
+            format!("SELECT key FROM traffic HAVING MTEST(value, '>', {t}, 0.05, 0.05)"),
+            "SELECT key, value * 2 AS d FROM traffic WITH ACCURACY ANALYTICAL LEVEL 0.9"
+                .to_string(),
+            "SELECT key, value * 2 AS d FROM traffic WITH ACCURACY BOOTSTRAP LEVEL 0.9 SAMPLES 200"
+                .to_string(),
+            format!(
+                "SELECT key, SQRT(ABS(value - {t})) * SQUARE(value) / 2 AS z FROM traffic \
+                 WITH ACCURACY ANALYTICAL LEVEL 0.9"
+            ),
+        ];
+        let mut emp_points = 0;
+        for sql in &queries {
+            let (schema, tuples) = ausdb_sql::planner::run_sql(state.session(), sql).unwrap();
+            assert!(!tuples.is_empty(), "{sql}");
+            let (ours, oracle) = both_renderings(&schema, &tuples);
+            assert!(ours == oracle, "{sql}: renderings differ");
+            emp_points = emp_points.max(
+                ours.lines()
+                    .filter(|l| l.contains("emp("))
+                    .map(|l| l.matches(',').count())
+                    .max()
+                    .unwrap_or(0),
+            );
+        }
+        assert!(emp_points >= 1000, "no Monte-Carlo sample was rendered: {emp_points}");
     }
 
     #[test]

@@ -32,7 +32,6 @@
 //! and joins its writer thread, the acceptor **joins every connection
 //! thread**, and a final snapshot is written. Nothing detaches.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -50,6 +49,7 @@ use ausdb_obs::{
 use ausdb_wal::{Wal, WalOptions, WalTelemetry};
 
 use crate::http::{HttpRequest, HttpResponse, Router};
+use crate::numtext::push_u64;
 use crate::protocol::{help_lines, parse_request, Request};
 use crate::render::{render_rows_into, render_schema_into, render_trace_entry};
 use crate::repl::{self, ReplReply};
@@ -879,7 +879,9 @@ fn handle_request(request: Request, shared: &Shared, conn: &Conn) -> Reply {
                 render_schema_into(&mut body, &schema);
                 body.push('\n');
                 render_rows_into(&mut body, &tuples);
-                let _ = writeln!(body, "END {}", tuples.len());
+                body.push_str("END ");
+                push_u64(&mut body, tuples.len() as u64);
+                body.push('\n');
                 Reply { body, close: false }
             }
             Ok(QueryReply::Plan(plan)) => {

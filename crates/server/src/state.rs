@@ -21,7 +21,6 @@
 //! close (counted as `late_rows` in `STATS`).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -38,6 +37,7 @@ use ausdb_obs::{journal, AccuracyPoint, Counter, Gauge, Histogram, Level, Regist
 use ausdb_sql::parser::parse;
 use ausdb_sql::planner::{run_sql, run_statement_with_stats, SqlOutput};
 
+use crate::numtext::push_u64;
 use crate::render::render_rows_into;
 use crate::subscriber::SubscriberQueue;
 
@@ -927,9 +927,13 @@ impl EngineState {
                     );
                     // Header, rows and notice go out as one block, so the
                     // subscriber's connection drains all of it or none.
-                    let mut block = String::new();
-                    let _ =
-                        writeln!(block, "EVENT {id} WINDOW {window_start} ROWS {}", tuples.len());
+                    let mut block = String::from("EVENT ");
+                    push_u64(&mut block, id);
+                    block.push_str(" WINDOW ");
+                    push_u64(&mut block, window_start);
+                    block.push_str(" ROWS ");
+                    push_u64(&mut block, tuples.len() as u64);
+                    block.push('\n');
                     render_rows_into(&mut block, &tuples);
                     let mut lines = 1 + tuples.len();
                     if let Some(notice) = notice {

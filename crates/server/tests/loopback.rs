@@ -1059,3 +1059,35 @@ fn sharded_server_is_bit_identical_to_unsharded() {
         handle.stop();
     }
 }
+
+/// The renderer as it was when `core::fmt` wrote the numbers.
+#[path = "support/display_oracle.rs"]
+mod display_oracle;
+
+/// Results do carry non-finite numbers: the model keeps them out of
+/// distributions, but a scalar projection that overflows is `inf`, `-inf`
+/// or (their difference) `NaN`. The reply must be, byte for byte, what the
+/// in-process result renders to through `Display`.
+#[test]
+fn non_finite_query_results_match_the_display_oracle() {
+    let handle = start_server(None, Duration::from_millis(25));
+    let mut client = Client::connect(&handle);
+    let rows = observation_rows();
+    ingest_rows_via(&mut client, &rows);
+    let mut state = EngineState::new(engine_config());
+    ingest_rows_inproc(&mut state, &rows);
+
+    let sql = "SELECT key, key * 1e300 * 1e300 AS up, (0 - key) * 1e300 * 1e300 AS down, \
+               key * 1e300 * 1e300 - key * 1e300 * 1e300 AS nan, key * 1e300 AS big FROM traffic";
+    let (schema, tuples) = run_sql(state.session(), sql).expect("in-process query");
+    let mut want = String::new();
+    display_oracle::render_schema_into(&mut want, &schema);
+    want.push('\n');
+    display_oracle::render_rows_into(&mut want, &tuples);
+    want.push_str(&format!("END {}\n", tuples.len()));
+    assert!(want.contains(" inf -inf NaN 19000000000"), "no non-finite values in {want}");
+
+    let got = client.request(&format!("QUERY {sql}"));
+    assert_eq!(got.join("\n") + "\n", want);
+    handle.stop();
+}
