@@ -50,16 +50,4 @@ for workload in flood_standing paced_standing paced_query; do
 done
 rm -f "$report"
 
-echo "== pr6 bench: network ingest (INGESTB + shards) =="
-bash scripts/pr6_bench
-
-echo "== pr8 bench: WAL durability (fsync policies, recovery, replication) =="
-bash scripts/pr8_bench
-
-echo "== pr9 bench: observability overhead (lag telemetry + SLO watchdog) =="
-bash scripts/pr9_bench
-
-echo "== pr10 bench: history retention overhead (accuracy trajectory + sampler) =="
-bash scripts/pr10_bench
-
 echo "CI OK"

@@ -15,13 +15,15 @@
 //!   length-prefixed `AUSB` envelope carrying up to 2²⁰ `(key, ts, value)`
 //!   rows, CRC-checked, answered by one `OK` line per frame instead of
 //!   one per row.
-//! * [`state`] — shared engine state: per-stream [`ausdb_learn`] learners,
-//!   the [`ausdb_engine`] session holding each stream's last closed
-//!   window, subscription registry, snapshot model.
-//! * [`shard`] — key-sharded engine states ([`shard::ShardSet`]):
-//!   `--shards N` splits ingest across `N` independently locked engines
-//!   while queries, stats, and snapshots merge back **bit-identically**
-//!   to the unsharded engine.
+//! * [`shard`] — the engine, [`shard::ShardSet`]: `--shards N` learner
+//!   buffers (per stream, one [`ausdb_learn`] learner per shard holding the
+//!   keys that hash there), one window cursor per stream, and one
+//!   window-close path for every `N` — queries, stats, subscriber blocks
+//!   and snapshots are **bit-identical** at any shard count.
+//! * [`state`] — what the engine is made of and speaks: the configuration,
+//!   outcome and reply types, the snapshot model, and the query core (the
+//!   [`ausdb_engine`] session holding each stream's last closed window,
+//!   the subscription registry, SLO targets, accuracy history).
 //! * [`http`] — the std-only GET router behind the HTTP listener:
 //!   request-line parsing with percent-decoded query parameters, exact
 //!   path dispatch, and shared `404`/`405` behaviour for every endpoint.
@@ -49,7 +51,7 @@
 //!   graceful (join-everything) shutdown.
 //! * [`signal`] — a minimal Ctrl-C hook for the `ausdb serve` binary.
 //!
-//! Telemetry rides along on every path: each [`state::EngineState`] owns
+//! Telemetry rides along on every path: each [`shard::ShardSet`] owns
 //! an [`ausdb_obs`] metric registry (latency histograms, per-stream
 //! labeled counters, subscriber queue depth) that `METRICS` renders as a
 //! Prometheus text exposition — merged with the engine-wide accuracy
@@ -115,5 +117,5 @@ pub use protocol::{help_lines, parse_request, Request};
 pub use render::{render_row, render_rows, render_schema};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use shard::{shard_of, ShardSet};
-pub use state::{BatchOutcome, EngineConfig, EngineState, QueryReply, ServerSnapshot};
+pub use state::{BatchOutcome, EngineConfig, QueryReply, ServerSnapshot};
 pub use subscriber::SubscriberQueue;

@@ -494,7 +494,7 @@ mod tests {
             })
             .collect();
         rows.push(RawObservation::new(0, WINDOW, 1.0)); // closes window 0
-        let mut state = crate::state::EngineState::new(crate::state::EngineConfig {
+        let state = crate::shard::ShardSet::new(crate::state::EngineConfig {
             learner: LearnerConfig::gaussian(WINDOW),
             max_subscribers: 1,
             queue_cap: 1,
@@ -517,7 +517,9 @@ mod tests {
         ];
         let mut emp_points = 0;
         for sql in &queries {
-            let (schema, tuples) = ausdb_sql::planner::run_sql(state.session(), sql).unwrap();
+            let crate::state::QueryReply::Rows(schema, tuples) = state.query(sql).unwrap() else {
+                panic!("SELECT returns rows");
+            };
             assert!(!tuples.is_empty(), "{sql}");
             let (ours, oracle) = both_renderings(&schema, &tuples);
             assert!(ours == oracle, "{sql}: renderings differ");

@@ -1,10 +1,11 @@
-//! The TCP server: thread-per-connection transport over a
-//! [`ShardSet`] of engine states.
+//! The TCP server: thread-per-connection transport over one [`ShardSet`].
 //!
 //! One accept thread spawns one thread per client; all of them share the
-//! engine through a [`ShardSet`] — with `--shards 1` (the default) that
-//! is the classic single mutex, with more shards ingest for different
-//! keys contends on different locks. A connection thread reads requests
+//! engine, a [`ShardSet`] — the same code for every `--shards N`: ingest
+//! serializes per stream on that stream's coordinator, buffers rows under
+//! short per-shard locks, and takes the query core only to register a
+//! closed window, so a `QUERY` waits for at most one close, never for the
+//! rest of a batch. A connection thread reads requests
 //! and writes replies; its read times out every `tick` only so that it
 //! notices the shutdown flag. No async runtime (the build is std-only by
 //! constraint).

@@ -1,71 +1,80 @@
-//! Key-sharded engine states behind one logical engine.
+//! The engine: key-sharded learner buffers behind one window-close path.
 //!
-//! With `--shards N` (or `AUSDB_SHARDS=N`) the server runs `N`
-//! independent [`EngineState`]s, each behind its own mutex, and routes
-//! every observation to the shard owning its key (a stable hash, so the
-//! assignment survives restarts and is identical across processes).
-//! Ingest for *different* keys then contends on different locks, which is
-//! what lets a multi-connection ingest load scale past the single global
-//! mutex the server started with.
+//! A [`ShardSet`] is one logical engine for any `--shards N` (or
+//! `AUSDB_SHARDS=N`), N ≥ 1. It is made of three parts:
+//!
+//! * `N` `KeyBuffers`, each behind its own mutex: per stream, one
+//!   [`StreamLearner`] buffering the keys that hash to the shard (a
+//!   stable hash, so the assignment is identical across processes).
+//!   Ingest for *different* streams then contends on different locks for
+//!   all but the copy into a learner.
+//! * one coordinator (`StreamMeta`) per stream: the window cursor, the
+//!   watermark and the stream's counters.
+//! * one `QueryCore`: everything cross-key — the query session
+//!   (registered closed windows), subscriptions, SLO targets, history.
+//!
+//! There is one path for every shard count — `--shards 1` is this code
+//! with N = 1, not a layout of its own: an `INGEST` line is a one-row
+//! batch, a batch is cut into the longest runs that cannot close the open
+//! window, each run is buffered shard by shard, and the row that ends a
+//! run drives `ShardSet::close_global`, which hands the merged window
+//! to `QueryCore::register_closed_window`.
 //!
 //! ## The merge invariant
 //!
 //! Sharding is an implementation detail, never a semantic one: for any
-//! shard count, `QUERY` replies, `STATS` counts, and snapshot bytes are
-//! **bit-identical** to the unsharded engine fed the same rows in the
-//! same order. Three design rules make that hold:
+//! shard count, `QUERY` replies, subscriber blocks, `STATS` counts, and
+//! snapshot bytes are **bit-identical** for the same rows in the same
+//! order (`tests/golden_transcript.rs` pins the bytes themselves). Three
+//! design rules make that hold:
 //!
 //! 1. **Shards only buffer.** A shard's per-stream learner accumulates
 //!    observations but never advances a window cursor and never registers
-//!    query content. The per-stream *coordinator* ([`StreamMeta`]) owns
-//!    the one global cursor.
-//! 2. **The coordinator drives every close with the global cursor.** A
-//!    window closes exactly when an observation at/past its end arrives —
-//!    the same rule as the unsharded engine — and the empty-window jump
-//!    uses the *minimum* buffered timestamp across all shards. (Letting
-//!    each shard keep its own cursor is provably wrong: a shard that only
-//!    holds old keys would lag, mis-classify late rows, and emit windows
-//!    the unsharded engine never emits.)
+//!    query content. The per-stream *coordinator* owns the one cursor.
+//! 2. **The coordinator drives every close with that cursor.** A window
+//!    closes exactly when an observation at/past its end arrives, and the
+//!    empty-window jump uses the *minimum* buffered timestamp across all
+//!    shards. (Letting each shard keep its own cursor is provably wrong:
+//!    a shard that only holds old keys would lag, mis-classify late rows,
+//!    and emit windows a single learner never emits.)
 //! 3. **Merged output is key-sorted.** Each learner emits one tuple per
 //!    key in key order and a key lives on exactly one shard, so sorting
-//!    the concatenated per-shard tuples by key reproduces the unsharded
+//!    the concatenated per-shard tuples by key reproduces a single
 //!    learner's `BTreeMap` iteration order exactly.
-//!
-//! One extra `core` state owns everything cross-key: the query session
-//! (registered closed windows), subscriptions, and query/event telemetry.
 //!
 //! ## Durability hook
 //!
 //! When a [`Wal`] is attached ([`ShardSet::attach_wal`]), every accepted
-//! batch is appended to it **inside** the same critical section that
-//! applies it (the shard mutex at one shard, the stream coordinator lock
-//! otherwise) and **before** any row touches a learner — so log order
-//! equals apply order, and the log stores the raw pre-routing
-//! `(stream, rows)` pair so replay re-splits correctly under any shard
-//! count. [`ShardSet::snapshot_with_wal_seq`] captures a snapshot plus
-//! the WAL watermark under the same locks, which is what makes
-//! "snapshot + replay of records past the watermark" exact.
+//! batch is appended to it **inside** the stream coordinator's critical
+//! section and **before** any row touches a learner — so log order equals
+//! apply order, and the log stores the raw pre-routing `(stream, rows)`
+//! pair so replay re-splits correctly under any shard count.
+//! [`ShardSet::snapshot_with_wal_seq`] captures a snapshot plus the WAL
+//! watermark under the same locks, which is what makes "snapshot + replay
+//! of records past the watermark" exact.
 //!
 //! Lock order (strict, deadlock-free): stream map → stream coordinator →
 //! WAL → shard mutexes in ascending index → core. No path acquires an
-//! earlier-order lock while holding a later one.
+//! earlier-order lock while holding a later one. A `QUERY` takes the core
+//! alone, so it waits for at most one window close, never for the rest of
+//! an ingest batch.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-use ausdb_learn::learner::{RawObservation, StreamLearner};
+use ausdb_learn::learner::{LearnerConfig, RawObservation, StreamLearner};
 use ausdb_model::codec::FrameRow;
 use ausdb_model::schema::Schema;
 use ausdb_model::tuple::Tuple;
 use ausdb_model::value::Value;
-use ausdb_obs::{Counter, Histogram, Registry, Sample, SeriesStore};
+use ausdb_obs::{journal, Level, Registry, Sample, SeriesStore};
 use ausdb_wal::{Wal, WalRecord};
 
 use crate::state::{
     align, decode_learner, encode_learner, normalize_stream_name, parse_observation, BatchOutcome,
-    Counters, EngineConfig, EngineState, IngestOutcome, QueryReply, ServerSnapshot, StreamHealth,
-    StreamSnapshot,
+    Counters, EngineConfig, IngestOutcome, QueryCore, QueryReply, ServerSnapshot, ServerTelemetry,
+    StreamCounters, StreamHealth, StreamSnapshot,
 };
 use crate::subscriber::SubscriberQueue;
 
@@ -82,58 +91,73 @@ pub fn shard_of(key: i64, n: usize) -> usize {
     (x % n.max(1) as u64) as usize
 }
 
-/// Per-stream coordination state: the single global window cursor plus
-/// the stream's `windows_emitted` counter handle (a series in the core
-/// registry, so it renders in `METRICS` and survives restore).
+/// One shard's buffers: per stream, a learner holding the observations of
+/// the keys that hash here, and nothing else — the cursor, the counters
+/// and every query-side structure live once, outside the shards.
+#[derive(Debug, Default)]
+struct KeyBuffers {
+    streams: BTreeMap<String, StreamLearner>,
+}
+
+impl KeyBuffers {
+    /// Buffers `run` on stream `name`, resolving the stream once for the
+    /// whole run. A stream this shard first sees rows for gets a learner
+    /// built from `config`; an empty run creates nothing.
+    fn observe_run(&mut self, name: &str, config: LearnerConfig, run: Vec<RawObservation>) {
+        if run.is_empty() {
+            return;
+        }
+        if !self.streams.contains_key(name) {
+            self.streams.insert(name.to_string(), StreamLearner::new(config));
+        }
+        self.streams.get_mut(name).expect("stream just ensured").observe_all(run);
+    }
+}
+
+/// Per-stream coordination state: the single window cursor, the
+/// watermark, and the stream's metric handles (series in the engine's
+/// registry, so they render in `METRICS` and survive restore).
 #[derive(Debug)]
 struct StreamMeta {
     /// Start of the currently open window; `None` until the first row.
     cursor: Option<u64>,
-    /// Event-time watermark (largest timestamp seen); observational only.
+    /// Event-time watermark (largest timestamp seen). Observational only
+    /// (never in snapshots or query results).
     max_ts: Option<u64>,
     /// Wall-clock of the last ingest call (telemetry-gated; `HEALTH` age).
     last_ingest: Option<Instant>,
     /// Wall-clock when the open window started accumulating rows
     /// (telemetry-gated; observed into `ingest_to_close` at close).
     opened_at: Option<Instant>,
-    /// `ausdb_windows_emitted_total{stream=...}` handle in the core registry.
-    windows: Arc<Counter>,
-    /// `ausdb_event_time_lag_seconds{stream=...}` handle in the core registry.
-    event_lag: Arc<Histogram>,
-    /// `ausdb_ingest_to_close_seconds{stream=...}` handle in the core registry.
-    ingest_to_close: Arc<Histogram>,
+    counters: StreamCounters,
 }
 
 impl StreamMeta {
-    /// A fresh coordinator with its metric handles fetched from `core`.
-    fn new(cursor: Option<u64>, core: &EngineState, name: &str) -> Self {
-        let (event_lag, ingest_to_close) = core.lag_histograms(name);
+    /// A coordinator at `cursor`. Metric handles are fetched by name: a
+    /// stream re-created under a name it had before resumes its series.
+    fn new(cursor: Option<u64>, telemetry: &ServerTelemetry, name: &str) -> Self {
         Self {
             cursor,
             max_ts: None,
             last_ingest: None,
             opened_at: None,
-            windows: core.windows_counter(name),
-            event_lag,
-            ingest_to_close,
+            counters: telemetry.stream(name),
         }
     }
 }
 
-/// `N` key-sharded [`EngineState`]s presenting as one engine.
-///
-/// With one shard every call delegates straight to that shard — the
-/// classic single-mutex layout, byte-for-byte. With more, ingest routes
-/// by key hash and reads merge across shards (see the module docs for
-/// the invariant that keeps the merge exact).
+/// `N` key-sharded learner buffers, one cursor per stream and one query
+/// core presenting as one engine (see the module docs for the invariant
+/// that keeps the merge exact).
 pub struct ShardSet {
     config: EngineConfig,
-    nshards: usize,
-    shards: Vec<Mutex<EngineState>>,
-    /// Per-stream coordinators, created on a stream's first valid row.
+    shards: Vec<Mutex<KeyBuffers>>,
+    /// Per-stream coordinators, created on a stream's first non-empty batch.
     streams: Mutex<BTreeMap<String, Arc<Mutex<StreamMeta>>>>,
-    /// Cross-key state: query session, subscriptions, query telemetry.
-    core: Mutex<EngineState>,
+    /// Cross-key state: query session, subscriptions, SLO targets, history.
+    core: Mutex<QueryCore>,
+    /// The engine's one metric registry, shared with `core`.
+    telemetry: Arc<ServerTelemetry>,
     /// Write-ahead log, attached once after recovery replay (so replay
     /// itself never re-logs). Absent when the server runs without
     /// `--wal-dir`.
@@ -158,15 +182,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl ShardSet {
-    /// Creates `config.shards` engine states (minimum 1).
+    /// Creates an engine with `config.shards` shards (minimum 1).
     pub fn new(config: EngineConfig) -> Self {
-        let nshards = config.shards.max(1);
+        let telemetry = Arc::new(ServerTelemetry::new());
         Self {
             config,
-            nshards,
-            shards: (0..nshards).map(|_| Mutex::new(EngineState::new(config))).collect(),
+            shards: (0..config.shards.max(1)).map(|_| Mutex::default()).collect(),
             streams: Mutex::new(BTreeMap::new()),
-            core: Mutex::new(EngineState::new(config)),
+            core: Mutex::new(QueryCore::new(&config, Arc::clone(&telemetry))),
+            telemetry,
             wal: OnceLock::new(),
         }
     }
@@ -186,28 +210,24 @@ impl ShardSet {
         self.wal.get()
     }
 
-    /// Appends one accepted batch to the WAL per `mode`. Callers hold the
-    /// critical-section lock (shard 0's mutex or the stream coordinator),
-    /// so log order equals apply order.
+    /// Appends one accepted, non-empty batch to the WAL per `mode`. The
+    /// caller holds the stream coordinator, so log order equals apply order.
     fn wal_append(&self, name: &str, rows: &[RawObservation], mode: WalMode) -> Result<(), String> {
-        if matches!(mode, WalMode::Skip) || rows.is_empty() {
-            return Ok(());
-        }
         let Some(wal) = self.wal.get() else { return Ok(()) };
-        let mut wal = lock(wal);
         match mode {
             WalMode::Log => {
                 // Encode straight from the observations — no intermediate
                 // row vector on the hot path.
-                wal.append_iter(name, rows.iter().map(|r| (r.key, r.ts, r.value)))
+                lock(wal)
+                    .append_iter(name, rows.iter().map(|r| (r.key, r.ts, r.value)))
                     .map_err(|e| format!("wal append: {e}"))?;
             }
             WalMode::At(seq) => {
                 let frame: Vec<FrameRow> = rows.iter().map(|r| (r.key, r.ts, r.value)).collect();
                 let rec = WalRecord { seq, stream: name.to_string(), rows: frame };
-                wal.append_at(&rec).map_err(|e| format!("wal append: {e}"))?;
+                lock(wal).append_at(&rec).map_err(|e| format!("wal append: {e}"))?;
             }
-            WalMode::Skip => unreachable!("handled above"),
+            WalMode::Skip => {}
         }
         Ok(())
     }
@@ -219,7 +239,7 @@ impl ShardSet {
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.nshards
+        self.shards.len()
     }
 
     /// Fetches (or creates) the coordinator for stream `name`.
@@ -228,45 +248,28 @@ impl ShardSet {
         if let Some(meta) = map.get(name) {
             return Arc::clone(meta);
         }
-        let meta = Arc::new(Mutex::new(StreamMeta::new(None, &lock(&self.core), name)));
+        let meta = Arc::new(Mutex::new(StreamMeta::new(None, &self.telemetry, name)));
         map.insert(name.to_string(), Arc::clone(&meta));
         meta
     }
 
-    /// Ingests one `key,ts,value` row into `stream`.
+    /// Ingests one `key,ts,value` row into `stream`: the `INGEST` line is
+    /// a one-row batch.
     pub fn ingest(&self, stream: &str, row: &str) -> Result<IngestOutcome, String> {
         let obs = parse_observation(row)?;
-        let name = normalize_stream_name(stream)?;
-        if self.nshards == 1 {
-            let mut g = lock(&self.shards[0]);
-            self.wal_append(&name, std::slice::from_ref(&obs), WalMode::Log)?;
-            let (_, windows_emitted) = g.ingest_observation(&name, obs)?;
-            g.note_ingest(&name);
-            return Ok(IngestOutcome { windows_emitted });
-        }
-        let meta_arc = self.stream_meta(&name);
-        let mut meta = lock(&meta_arc);
-        self.wal_append(&name, std::slice::from_ref(&obs), WalMode::Log)?;
-        let late = meta.cursor.is_some_and(|ws| obs.ts < ws);
-        lock(&self.shards[shard_of(obs.key, self.nshards)]).observe_sharded(&name, obs, late);
-        if meta.cursor.is_none() {
-            meta.cursor = Some(align(obs.ts, self.config.learner.window_width));
-        }
-        meta.max_ts = Some(meta.max_ts.map_or(obs.ts, |m| m.max(obs.ts)));
-        meta.last_ingest = ausdb_obs::now_if_enabled();
-        if meta.opened_at.is_none() {
-            meta.opened_at = meta.last_ingest;
-        }
-        let windows_emitted = self.close_global(&name, &mut meta, obs.ts)?;
-        Ok(IngestOutcome { windows_emitted })
+        let out = self.ingest_batch_inner(stream, &[obs], WalMode::Log)?;
+        Ok(IngestOutcome { windows_emitted: out.windows_emitted })
     }
 
     /// Ingests a pre-parsed batch as if each row arrived as its own
-    /// `INGEST` line, in order. Rows are applied in the longest runs that
-    /// cannot close the open window, so each such run takes one shard
-    /// lock per shard instead of one per row — the serial equivalence is
-    /// by construction (a row that cannot close a window only buffers,
-    /// and the late verdict is constant while the cursor is).
+    /// `INGEST` line, in order. The whole batch is validated first (any
+    /// non-finite value rejects the entire frame, so a partially applied
+    /// batch is impossible to observe at the protocol level). Rows are
+    /// then applied in the longest runs that cannot close the open window,
+    /// so each such run takes one shard lock per shard instead of one per
+    /// row — the serial equivalence is by construction (a row that cannot
+    /// close a window only buffers, and the late verdict is constant
+    /// while the cursor is).
     pub fn ingest_batch(
         &self,
         stream: &str,
@@ -308,73 +311,73 @@ impl ShardSet {
                 return Err(format!("row {i}: non-finite value {}", r.value));
             }
         }
-        if self.nshards == 1 {
-            let mut g = lock(&self.shards[0]);
-            self.wal_append(&name, rows, mode)?;
-            return g.ingest_batch(&name, rows);
-        }
+        // A frame with no rows is acknowledged and leaves no trace: no
+        // stream, no coordinator, no WAL record.
+        let Some(batch_max) = rows.iter().map(|r| r.ts).max() else {
+            return Ok(BatchOutcome::default());
+        };
         let width = self.config.learner.window_width;
         let meta_arc = self.stream_meta(&name);
         let mut meta = lock(&meta_arc);
         self.wal_append(&name, rows, mode)?;
-        if let Some(batch_max) = rows.iter().map(|r| r.ts).max() {
-            meta.max_ts = Some(meta.max_ts.map_or(batch_max, |m| m.max(batch_max)));
-            meta.last_ingest = ausdb_obs::now_if_enabled();
-            if meta.opened_at.is_none() {
-                meta.opened_at = meta.last_ingest;
-            }
+        meta.max_ts = Some(meta.max_ts.map_or(batch_max, |m| m.max(batch_max)));
+        // One `Instant` read per ingest *call*, not per row.
+        meta.last_ingest = ausdb_obs::now_if_enabled();
+        if meta.opened_at.is_none() {
+            meta.opened_at = meta.last_ingest;
         }
         let mut out = BatchOutcome::default();
-        let mut by_shard: Vec<Vec<(RawObservation, bool)>> = vec![Vec::new(); self.nshards];
         let mut i = 0;
         while i < rows.len() {
-            if meta.cursor.is_none() {
-                meta.cursor = Some(align(rows[i].ts, width));
-            }
-            let ws = meta.cursor.expect("cursor just ensured");
+            let ws = *meta.cursor.get_or_insert_with(|| align(rows[i].ts, width));
             let end = ws.saturating_add(width);
-            // Longest prefix that only buffers (no row at/past the window end).
+            // Longest run that only buffers (no row at/past the window end).
+            let mut late = 0u64;
             let mut j = i;
             while j < rows.len() && rows[j].ts < end {
+                late += u64::from(rows[j].ts < ws);
                 j += 1;
             }
-            if j > i {
-                for s in &mut by_shard {
-                    s.clear();
-                }
-                for &obs in &rows[i..j] {
-                    let late = obs.ts < ws;
-                    out.late += u64::from(late);
-                    by_shard[shard_of(obs.key, self.nshards)].push((obs, late));
-                }
-                for (sh, batch) in by_shard.iter().enumerate() {
-                    if !batch.is_empty() {
-                        let mut guard = lock(&self.shards[sh]);
-                        for &(obs, late) in batch {
-                            guard.observe_sharded(&name, obs, late);
-                        }
-                    }
-                }
-                out.accepted += (j - i) as u64;
+            // The row that ends the run closes the window. It is buffered
+            // with the run (never late — its timestamp is at/past the
+            // window end) before it drives the close.
+            let closing = rows.get(j).map(|obs| obs.ts);
+            let run = &rows[i..(j + 1).min(rows.len())];
+            self.observe_run(&name, run);
+            meta.counters.rows.add(run.len() as u64);
+            meta.counters.late.add(late);
+            out.accepted += run.len() as u64;
+            out.late += late;
+            if let Some(through_ts) = closing {
+                out.windows_emitted += self.close_global(&name, &mut meta, through_ts)?;
             }
-            if j < rows.len() {
-                // The closing row: buffer it (never late — its timestamp is
-                // at/past the window end), then drive the global close.
-                let obs = rows[j];
-                lock(&self.shards[shard_of(obs.key, self.nshards)])
-                    .observe_sharded(&name, obs, false);
-                out.accepted += 1;
-                out.windows_emitted += self.close_global(&name, &mut meta, obs.ts)?;
-                j += 1;
-            }
-            i = j;
+            i += run.len();
         }
         Ok(out)
     }
 
+    /// Buffers `run` on the shards owning its keys. The run is split by
+    /// key hash into one staging vector per shard first, so each shard is
+    /// locked once and resolves the stream once per run. Measured against
+    /// filtering the run in place under each shard lock: the same at 1
+    /// shard, about a quarter faster at 8, where in-place hashes every
+    /// row once per shard.
+    fn observe_run(&self, name: &str, run: &[RawObservation]) {
+        let n = self.shards.len();
+        let mut by_shard = vec![Vec::new(); n];
+        for &obs in run {
+            by_shard[shard_of(obs.key, n)].push(obs);
+        }
+        for (shard, mine) in self.shards.iter().zip(by_shard) {
+            lock(shard).observe_run(name, self.config.learner, mine);
+        }
+    }
+
     /// Closes every window `through_ts` has moved past, merging each
     /// window's tuples across shards and registering non-empty ones on
-    /// the core. Caller holds the stream's coordinator lock.
+    /// the core. The jump via the minimum buffered timestamp bounds
+    /// iterations by the number of *non-empty* windows, so a large time
+    /// skip is O(1), not O(Δt). Caller holds the stream's coordinator lock.
     fn close_global(
         &self,
         name: &str,
@@ -385,57 +388,65 @@ impl ShardSet {
         let mut emitted = 0u64;
         loop {
             let ws = meta.cursor.expect("cursor set on first row");
-            if through_ts < ws.saturating_add(width) {
+            let next = ws.saturating_add(width);
+            if through_ts < next {
                 break;
             }
-            let (merged, schema, global_min, late_rows) = {
-                let mut guards: Vec<MutexGuard<'_, EngineState>> =
+            let start = ausdb_obs::now_if_enabled();
+            let (merged, schema, global_min) = {
+                let mut guards: Vec<MutexGuard<'_, KeyBuffers>> =
                     self.shards.iter().map(lock).collect();
                 let mut merged = Vec::new();
                 let mut schema: Option<Schema> = None;
-                for g in guards.iter_mut() {
-                    let tuples = g.emit_stream_window(name, ws)?;
+                for learner in guards.iter_mut().filter_map(|g| g.streams.get_mut(name)) {
+                    merged.extend(learner.emit_window(ws).map_err(|e| format!("learn: {e}"))?);
                     if schema.is_none() {
-                        if let Some(l) = g.learner_for(name) {
-                            schema = Some(l.schema().clone());
-                        }
+                        schema = Some(learner.schema().clone());
                     }
-                    merged.extend(tuples);
                 }
                 // One tuple per key, each key on exactly one shard: sorting
-                // by key reproduces the unsharded BTreeMap emission order.
+                // by key reproduces a single learner's BTreeMap emission order.
                 merged.sort_unstable_by_key(tuple_key);
-                let global_min = guards.iter().filter_map(|g| g.min_buffered_ts_for(name)).min();
-                // Cumulative late rows at this close: summed inside the
-                // same critical section as the merge, so the value equals
-                // the unsharded engine's per-stream late counter at the
-                // equivalent moment (the accuracy trajectory stays
-                // shard-count invariant).
-                let late_rows = guards.iter().map(|g| g.stream_counts(name).1).sum::<u64>();
-                (merged, schema, global_min, late_rows)
+                let global_min = guards
+                    .iter()
+                    .filter_map(|g| g.streams.get(name).and_then(StreamLearner::min_buffered_ts))
+                    .min();
+                (merged, schema, global_min)
             };
-            let next = ws.saturating_add(width);
             meta.cursor = Some(match global_min {
                 Some(min_ts) if min_ts >= next => align(min_ts, width),
                 _ => next,
             });
-            // Lag telemetry, same two observations the unsharded close
-            // makes: watermark overrun in event time, first-buffered-row
-            // to close in wall time.
-            meta.event_lag.observe(through_ts.saturating_sub(next) as f64);
+            // Lag telemetry: watermark overrun in event time,
+            // first-buffered-row to close in wall time.
+            meta.counters.event_lag.observe(through_ts.saturating_sub(next) as f64);
             if let Some(t0) = meta.opened_at.take() {
-                meta.ingest_to_close.observe_duration(t0.elapsed());
+                meta.counters.ingest_to_close.observe_duration(t0.elapsed());
             }
             if global_min.is_some() {
                 // Buffered rows (the closing one, at least) started
                 // accumulating the next window just now.
-                meta.opened_at = ausdb_obs::now_if_enabled();
+                meta.opened_at = start;
             }
-            if !merged.is_empty() {
+            let learned = merged.len();
+            if let Some(schema) = schema.filter(|_| learned > 0) {
                 emitted += 1;
-                meta.windows.inc();
-                let schema = schema.expect("a non-empty merged window has a learner");
+                meta.counters.windows.inc();
+                // Cumulative late rows at this close: the stream's counter
+                // only moves under the coordinator lock held here, so the
+                // accuracy trajectory is shard-count invariant.
+                let late_rows = meta.counters.late.get();
                 lock(&self.core).register_closed_window(name, schema, merged, ws, late_rows);
+            }
+            if let Some(t0) = start {
+                let elapsed = t0.elapsed();
+                self.telemetry.window_close.observe_duration(elapsed);
+                journal::global().record(Level::Info, "window_close", || {
+                    format!(
+                        "stream={name} window_start={ws} tuples={learned} took={}us",
+                        elapsed.as_micros()
+                    )
+                });
             }
         }
         Ok(emitted)
@@ -443,85 +454,54 @@ impl ShardSet {
 
     /// Runs a one-shot statement against the merged session.
     pub fn query(&self, sql: &str) -> Result<QueryReply, String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).query(sql);
-        }
         lock(&self.core).query(sql)
     }
 
     /// Registers a standing query.
     pub fn subscribe(&self, sql: &str) -> Result<(u64, String, Arc<SubscriberQueue>), String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).subscribe(sql);
-        }
         lock(&self.core).subscribe(sql)
     }
 
     /// Cancels a subscription; returns whether it existed.
     pub fn unsubscribe(&self, id: u64) -> bool {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).unsubscribe(id);
-        }
         lock(&self.core).unsubscribe(id)
     }
 
     /// Number of active subscriptions.
     pub fn subscriber_count(&self) -> usize {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).subscriber_count();
-        }
         lock(&self.core).subscriber_count()
     }
 
     /// Registers (or replaces) an accuracy SLO on standing query `id`.
     pub fn set_slo(&self, id: u64, width: f64) -> Result<(), String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).set_slo(id, width);
-        }
         lock(&self.core).set_slo(id, width)
     }
 
     /// The `SLO LIST` payload.
     pub fn slo_lines(&self) -> Vec<String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).slo_lines();
-        }
         lock(&self.core).slo_lines()
     }
 
     /// `(registered targets, total violations)` across every accuracy SLO.
     pub fn slo_summary(&self) -> (usize, u64) {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).slo_summary();
-        }
         lock(&self.core).slo_summary()
     }
 
-    /// The retention store accuracy points land in — the core's store
-    /// when sharded (subscriptions and closes live there), shard 0's in
-    /// the classic layout. The server's sampler feeds metric scrapes
+    /// The retention store accuracy points land in (subscriptions and
+    /// closes live on the core). The server's sampler feeds metric scrapes
     /// into the same store.
     pub fn history(&self) -> Arc<SeriesStore> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).history();
-        }
         lock(&self.core).history()
     }
 
     /// The highest total subscriber queue depth observed since start.
     pub fn backlog_highwater(&self) -> u64 {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).backlog_highwater();
-        }
         lock(&self.core).backlog_highwater()
     }
 
     /// Per-stream health snapshots (watermark, ingest age, buffered
     /// rows) for the `HEALTH` verb, in stream-name order.
     pub(crate) fn stream_health(&self) -> Vec<StreamHealth> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).stream_health();
-        }
         self.meta_list()
             .into_iter()
             .map(|(name, meta_arc)| {
@@ -529,114 +509,94 @@ impl ShardSet {
                     let meta = lock(&meta_arc);
                     (meta.max_ts, meta.last_ingest.map(|t| t.elapsed().as_micros() as u64))
                 };
-                let buffered =
-                    self.shards.iter().map(|s| lock(s).buffered_len_for(&name)).sum::<usize>();
+                let buffered = self.shards.iter().map(|s| buffered_len(&lock(s), &name)).sum();
                 StreamHealth { name, watermark, age_us, buffered }
             })
             .collect()
     }
 
-    /// Current counters, merged across shards.
+    /// Current counters, summed across streams from the metric registry.
     pub fn counters(&self) -> Counters {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).counters();
+        self.sum_counters(&self.stream_counts())
+    }
+
+    /// Every stream's cursor and counters in name order, each read under
+    /// the stream's coordinator lock.
+    fn stream_counts(&self) -> Vec<(String, Option<u64>, Counters)> {
+        self.meta_list()
+            .into_iter()
+            .map(|(name, meta_arc)| {
+                let meta = lock(&meta_arc);
+                let counts = Counters {
+                    rows_ingested: meta.counters.rows.get(),
+                    late_rows: meta.counters.late.get(),
+                    windows_emitted: meta.counters.windows.get(),
+                    ..Counters::default()
+                };
+                (name, meta.cursor, counts)
+            })
+            .collect()
+    }
+
+    /// The server-wide totals of `streams` plus the query and event counts.
+    fn sum_counters(&self, streams: &[(String, Option<u64>, Counters)]) -> Counters {
+        let mut c = Counters {
+            queries_run: self.telemetry.queries.get(),
+            events_emitted: self.telemetry.events.get(),
+            ..Counters::default()
+        };
+        for (_, _, s) in streams {
+            c.rows_ingested += s.rows_ingested;
+            c.late_rows += s.late_rows;
+            c.windows_emitted += s.windows_emitted;
         }
-        let metas = self.meta_list();
-        let mut c = Counters::default();
-        for (name, meta_arc) in &metas {
-            c.windows_emitted += lock(meta_arc).windows.get();
-            let _ = name;
-        }
-        for shard in &self.shards {
-            let g = lock(shard);
-            let shard_counts = g.counters();
-            c.rows_ingested += shard_counts.rows_ingested;
-            c.late_rows += shard_counts.late_rows;
-        }
-        let core = lock(&self.core).counters();
-        c.queries_run = core.queries_run;
-        c.events_emitted = core.events_emitted;
         c
     }
 
-    /// `STATS` payload, identical line formats to the unsharded engine.
+    /// `STATS` payload: server counters, per-stream and per-subscriber
+    /// lines, then the last query's operator report.
     pub fn stats_lines(&self) -> Vec<String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).stats_lines();
-        }
-        let metas = self.meta_list();
-        let cursors: Vec<(String, Option<u64>, u64)> = metas
-            .iter()
-            .map(|(name, meta_arc)| {
-                let meta = lock(meta_arc);
-                (name.clone(), meta.cursor, meta.windows.get())
-            })
-            .collect();
-        let guards: Vec<MutexGuard<'_, EngineState>> = self.shards.iter().map(lock).collect();
+        let streams = self.stream_counts();
+        let guards: Vec<MutexGuard<'_, KeyBuffers>> = self.shards.iter().map(lock).collect();
         let core = lock(&self.core);
-        let core_counts = core.counters();
-        let mut rows_total = 0u64;
-        let mut late_total = 0u64;
-        let mut windows_total = 0u64;
-        let mut stream_lines = Vec::new();
-        for (name, cursor, windows) in &cursors {
-            let mut buffered = 0usize;
-            let mut rows = 0u64;
-            let mut late = 0u64;
-            for g in &guards {
-                buffered += g.buffered_len_for(name);
-                let (r, l) = g.stream_counts(name);
-                rows += r;
-                late += l;
-            }
-            rows_total += rows;
-            late_total += late;
-            windows_total += windows;
+        let c = self.sum_counters(&streams);
+        let mut out = vec![format!(
+            "server rows_ingested={} late_rows={} windows_emitted={} queries={} events={} \
+             subscribers={} streams={}",
+            c.rows_ingested,
+            c.late_rows,
+            c.windows_emitted,
+            c.queries_run,
+            c.events_emitted,
+            core.subscriber_count(),
+            streams.len()
+        )];
+        for (name, cursor, counts) in &streams {
+            let buffered: usize = guards.iter().map(|g| buffered_len(g, name)).sum();
             let registered = core.session().stream(name).map(|(_, t)| t.len()).unwrap_or(0);
-            stream_lines.push(format!(
+            out.push(format!(
                 "stream {name} buffered={buffered} window_start={} \
-                 registered_rows={registered} rows={rows} late_rows={late}",
+                 registered_rows={registered} rows={} late_rows={}",
                 cursor.map_or_else(|| "-".to_string(), |ws| ws.to_string()),
+                counts.rows_ingested,
+                counts.late_rows,
             ));
         }
-        let mut out = vec![format!(
-            "server rows_ingested={rows_total} late_rows={late_total} \
-             windows_emitted={windows_total} queries={} events={} subscribers={} streams={}",
-            core_counts.queries_run,
-            core_counts.events_emitted,
-            core.subscriber_count(),
-            cursors.len()
-        )];
-        out.extend(stream_lines);
         out.extend(core.subscriber_and_query_stat_lines());
         out
     }
 
-    /// The Prometheus exposition, merged (summed) across every shard
-    /// registry, the core registry, and the process-wide engine registry.
+    /// The Prometheus exposition: the engine's registry (with the
+    /// subscriber queue-depth gauges freshly sampled) merged with the
+    /// process-wide engine accuracy registry.
     pub fn metrics_text(&self) -> String {
         self.metrics_text_with(&[])
     }
 
     /// Like [`ShardSet::metrics_text`], with extra registries merged in —
-    /// WAL and replication telemetry live outside the engine states.
+    /// WAL and replication telemetry live outside the engine.
     pub fn metrics_text_with(&self, extra: &[&Registry]) -> String {
-        if self.nshards == 1 {
-            let g = lock(&self.shards[0]);
-            g.sample_queue_depth();
-            let mut regs: Vec<&Registry> =
-                vec![g.registry(), ausdb_engine::obs::telemetry::global().registry()];
-            regs.extend_from_slice(extra);
-            return ausdb_obs::metrics::render_merged(&regs);
-        }
-        let guards: Vec<MutexGuard<'_, EngineState>> = self.shards.iter().map(lock).collect();
-        let core = lock(&self.core);
-        core.sample_queue_depth();
-        let mut regs: Vec<&Registry> = guards.iter().map(|g| g.registry()).collect();
-        regs.push(core.registry());
-        regs.push(ausdb_engine::obs::telemetry::global().registry());
-        regs.extend_from_slice(extra);
-        ausdb_obs::metrics::render_merged(&regs)
+        ausdb_obs::metrics::render_merged(&self.registries(extra))
     }
 
     /// One structured metric scrape for the retention sampler — the same
@@ -644,160 +604,143 @@ impl ShardSet {
     /// [`ShardSet::metrics_text_with`], as typed samples instead of
     /// exposition text.
     pub fn collect_samples(&self, extra: &[&Registry]) -> Vec<Sample> {
-        if self.nshards == 1 {
-            let g = lock(&self.shards[0]);
-            g.sample_queue_depth();
-            let mut regs: Vec<&Registry> =
-                vec![g.registry(), ausdb_engine::obs::telemetry::global().registry()];
-            regs.extend_from_slice(extra);
-            return ausdb_obs::metrics::collect_merged(&regs);
-        }
-        let guards: Vec<MutexGuard<'_, EngineState>> = self.shards.iter().map(lock).collect();
-        let core = lock(&self.core);
-        core.sample_queue_depth();
-        let mut regs: Vec<&Registry> = guards.iter().map(|g| g.registry()).collect();
-        regs.push(core.registry());
-        regs.push(ausdb_engine::obs::telemetry::global().registry());
+        ausdb_obs::metrics::collect_merged(&self.registries(extra))
+    }
+
+    /// The registries one scrape merges, queue-depth gauges sampled first.
+    fn registries<'a>(&'a self, extra: &[&'a Registry]) -> Vec<&'a Registry> {
+        lock(&self.core).sample_queue_depth();
+        let mut regs =
+            vec![&self.telemetry.registry, ausdb_engine::obs::telemetry::global().registry()];
         regs.extend_from_slice(extra);
-        ausdb_obs::metrics::collect_merged(&regs)
+        regs
     }
 
     // -- snapshot / restore ------------------------------------------------
 
     /// Captures a **canonical** snapshot: per-shard learner buffers are
     /// merged back into one learner per stream before encoding, so the
-    /// bytes are identical to the unsharded engine's snapshot of the same
-    /// rows — a snapshot taken at 8 shards restores at 1 (or 2, or 13)
-    /// exactly.
+    /// bytes do not depend on the shard count — a snapshot taken at 8
+    /// shards restores at 1 (or 2, or 13) exactly. Subscriptions are
+    /// connection-scoped and deliberately not persisted.
     pub fn to_snapshot(&self) -> ServerSnapshot {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).to_snapshot();
-        }
-        let metas = self.meta_list();
-        let cursors: Vec<(String, Option<u64>)> =
-            metas.iter().map(|(name, meta_arc)| (name.clone(), lock(meta_arc).cursor)).collect();
-        self.snapshot_from_cursors(cursors, 0)
+        self.snapshot_cut(|| 0)
     }
 
     /// Captures a snapshot plus the WAL watermark as one **consistent
-    /// cut**: the stream map (which every ingest consults first) and all
-    /// coordinator locks are held while the watermark is read and shard
-    /// state captured, so the snapshot contains exactly the effects of
-    /// WAL records `≤ wal_seq` — replaying strictly-later records on top
-    /// of it reproduces the live state bit for bit. Falls back to
-    /// [`ShardSet::to_snapshot`] (watermark 0) when no WAL is attached.
+    /// cut**, so the snapshot contains exactly the effects of WAL records
+    /// `≤ wal_seq` — replaying strictly-later records on top of it
+    /// reproduces the live state bit for bit. The watermark is 0 when no
+    /// WAL is attached.
     pub fn snapshot_with_wal_seq(&self) -> ServerSnapshot {
-        let Some(wal) = self.wal.get() else { return self.to_snapshot() };
-        if self.nshards == 1 {
-            let g = lock(&self.shards[0]);
-            let wal_seq = lock(wal).last_seq();
-            let mut snap = g.to_snapshot();
-            snap.wal_seq = wal_seq;
-            return snap;
-        }
-        let map = lock(&self.streams);
-        let metas: Vec<(String, Arc<Mutex<StreamMeta>>)> =
-            map.iter().map(|(n, m)| (n.clone(), Arc::clone(m))).collect();
-        let meta_guards: Vec<MutexGuard<'_, StreamMeta>> =
-            metas.iter().map(|(_, m)| lock(m)).collect();
-        let wal_seq = lock(wal).last_seq();
-        let cursors: Vec<(String, Option<u64>)> =
-            metas.iter().zip(&meta_guards).map(|((name, _), g)| (name.clone(), g.cursor)).collect();
-        self.snapshot_from_cursors(cursors, wal_seq)
+        self.snapshot_cut(|| self.wal.get().map_or(0, |wal| lock(wal).last_seq()))
     }
 
-    /// Shared merge body for the snapshot paths: locks every shard plus
-    /// the core and merges per-shard buffers back into one canonical
-    /// learner per stream.
-    fn snapshot_from_cursors(
-        &self,
-        cursors: Vec<(String, Option<u64>)>,
-        wal_seq: u64,
-    ) -> ServerSnapshot {
-        let guards: Vec<MutexGuard<'_, EngineState>> = self.shards.iter().map(lock).collect();
+    /// The one snapshot body. The stream map (which every ingest consults
+    /// first) and all coordinator locks are held while `wal_seq` is read
+    /// and shard state captured, so no batch is half inside the cut.
+    fn snapshot_cut(&self, wal_seq: impl FnOnce() -> u64) -> ServerSnapshot {
+        let start = ausdb_obs::now_if_enabled();
+        let map = lock(&self.streams);
+        let metas: Vec<(&String, MutexGuard<'_, StreamMeta>)> =
+            map.iter().map(|(name, meta)| (name, lock(meta))).collect();
+        let wal_seq = wal_seq();
+        let guards: Vec<MutexGuard<'_, KeyBuffers>> = self.shards.iter().map(lock).collect();
         let core = lock(&self.core);
-        let streams = cursors
-            .into_iter()
-            .map(|(name, window_start)| {
-                let donor = guards
-                    .iter()
-                    .find_map(|g| g.learner_for(&name))
-                    .expect("a coordinated stream exists on at least one shard");
-                let config = *donor.config();
-                let schema = donor.schema().clone();
+        // A coordinator whose first batch failed its WAL append has no
+        // learner on any shard: it snapshots as the empty stream it is.
+        let fresh = StreamLearner::new(self.config.learner);
+        let streams: Vec<StreamSnapshot> = metas
+            .iter()
+            .map(|(name, meta)| {
+                let parts: Vec<&StreamLearner> =
+                    guards.iter().filter_map(|g| g.streams.get(*name)).collect();
+                let donor = parts.first().copied().unwrap_or(&fresh);
                 let mut buffer: BTreeMap<i64, Vec<(u64, f64)>> = BTreeMap::new();
-                for g in &guards {
-                    if let Some(l) = g.learner_for(&name) {
-                        for (&k, v) in l.buffer() {
-                            buffer.insert(k, v.clone());
-                        }
-                    }
+                for learner in &parts {
+                    buffer.extend(learner.buffer().iter().map(|(&k, v)| (k, v.clone())));
                 }
-                let merged = StreamLearner::from_parts(config, schema, buffer);
+                let merged =
+                    StreamLearner::from_parts(*donor.config(), donor.schema().clone(), buffer);
                 StreamSnapshot {
+                    name: (*name).clone(),
                     learner: encode_learner(&merged),
-                    window_start,
+                    window_start: meta.cursor,
                     registered: core
                         .session()
-                        .stream(&name)
+                        .stream(name)
                         .map(|(schema, tuples)| (schema.clone(), tuples.to_vec())),
-                    name,
                 }
             })
             .collect();
+        if let Some(t0) = start {
+            let elapsed = t0.elapsed();
+            self.telemetry.snapshot_encode.observe_duration(elapsed);
+            journal::global().record(Level::Info, "snapshot", || {
+                format!("encode streams={} took={}us", streams.len(), elapsed.as_micros())
+            });
+        }
         ServerSnapshot { streams, wal_seq }
     }
 
-    /// Replaces all stream state with the snapshot's, re-partitioning
-    /// each learner's buffer by key hash. Restores a snapshot taken at
-    /// any shard count.
+    /// Replaces all stream/learner/session state with the snapshot's,
+    /// re-partitioning each learner's buffer by key hash, so a snapshot
+    /// taken at any shard count restores. Counters and live subscriptions
+    /// are untouched.
     pub fn restore(&self, snapshot: ServerSnapshot) -> Result<usize, String> {
-        if self.nshards == 1 {
-            return lock(&self.shards[0]).restore(snapshot);
-        }
+        let start = ausdb_obs::now_if_enabled();
         // Decode everything first so a corrupt snapshot mutates nothing.
         let mut decoded = Vec::with_capacity(snapshot.streams.len());
         for s in snapshot.streams {
             let learner = decode_learner(&s.learner).map_err(|e| e.to_string())?;
             decoded.push((s.name, learner, s.window_start, s.registered));
         }
+        let n = self.shards.len();
         let mut map = lock(&self.streams);
-        let mut guards: Vec<MutexGuard<'_, EngineState>> = self.shards.iter().map(lock).collect();
+        let mut guards: Vec<MutexGuard<'_, KeyBuffers>> = self.shards.iter().map(lock).collect();
         let mut core = lock(&self.core);
         for g in guards.iter_mut() {
-            g.clear_streams();
+            g.streams.clear();
         }
-        core.clear_streams();
-        core.reset_session();
-        let mut new_map = BTreeMap::new();
+        map.clear();
+        let mut contents = Vec::new();
         for (name, learner, window_start, registered) in decoded {
-            let config = *learner.config();
-            let schema = learner.schema().clone();
-            let mut parts: Vec<BTreeMap<i64, Vec<(u64, f64)>>> =
-                vec![BTreeMap::new(); self.nshards];
+            let mut parts: Vec<BTreeMap<i64, Vec<(u64, f64)>>> = vec![BTreeMap::new(); n];
             for (&k, v) in learner.buffer() {
-                parts[shard_of(k, self.nshards)].insert(k, v.clone());
+                parts[shard_of(k, n)].insert(k, v.clone());
             }
             for (g, part) in guards.iter_mut().zip(parts) {
-                g.install_stream(&name, StreamLearner::from_parts(config, schema.clone(), part));
+                let share =
+                    StreamLearner::from_parts(*learner.config(), learner.schema().clone(), part);
+                g.streams.insert(name.clone(), share);
             }
             if let Some((schema, tuples)) = registered {
-                core.register_stream_content(&name, schema, tuples);
+                contents.push((name.clone(), schema, tuples));
             }
-            // Metric handles are re-fetched by name: a stream that existed
-            // before the restore keeps its series in the core registry.
-            let meta = StreamMeta::new(window_start, &core, &name);
-            new_map.insert(name, Arc::new(Mutex::new(meta)));
+            let meta = StreamMeta::new(window_start, &self.telemetry, &name);
+            map.insert(name, Arc::new(Mutex::new(meta)));
         }
-        let n = new_map.len();
-        *map = new_map;
-        Ok(n)
+        core.restore_session(contents);
+        let restored = map.len();
+        if let Some(t0) = start {
+            let elapsed = t0.elapsed();
+            self.telemetry.snapshot_decode.observe_duration(elapsed);
+            journal::global().record(Level::Info, "snapshot", || {
+                format!("decode streams={restored} took={}us", elapsed.as_micros())
+            });
+        }
+        Ok(restored)
     }
 
     /// Snapshot of the coordinator map: `(name, meta)` pairs in name order.
     fn meta_list(&self) -> Vec<(String, Arc<Mutex<StreamMeta>>)> {
         lock(&self.streams).iter().map(|(n, m)| (n.clone(), Arc::clone(m))).collect()
     }
+}
+
+/// Observations `shard` holds for stream `name`.
+fn buffered_len(shard: &KeyBuffers, name: &str) -> usize {
+    shard.streams.get(name).map_or(0, StreamLearner::buffered_len)
 }
 
 /// The grouping key a learner emitted a tuple for (field 0 is always the
@@ -867,58 +810,31 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_unsharded_bit_for_bit() {
-        let mut reference = EngineState::new(config(1));
-        for row in rows() {
-            reference.ingest("traffic", &row).unwrap();
-        }
-        let ref_snap = reference.to_snapshot();
-        for n in [2usize, 3, 8] {
-            let set = ShardSet::new(config(n));
-            let mut emitted = 0;
-            for row in rows() {
-                emitted += set.ingest("traffic", &row).unwrap().windows_emitted;
-            }
-            assert_eq!(emitted, reference.counters().windows_emitted, "shards={n}");
-            let c = set.counters();
-            let r = reference.counters();
-            assert_eq!(
-                (c.rows_ingested, c.late_rows, c.windows_emitted),
-                (r.rows_ingested, r.late_rows, r.windows_emitted),
-                "shards={n}"
-            );
-            assert_eq!(
-                snapshot_bytes(&set.to_snapshot()),
-                snapshot_bytes(&ref_snap),
-                "snapshot bytes differ at shards={n}"
-            );
-        }
-    }
-
-    #[test]
     fn batch_matches_line_ingest_across_shards() {
-        let parsed: Vec<RawObservation> = rows()
-            .iter()
-            .map(|r| {
-                let cells: Vec<&str> = r.split(',').collect();
-                RawObservation::new(
-                    cells[0].parse().unwrap(),
-                    cells[1].parse().unwrap(),
-                    cells[2].parse().unwrap(),
-                )
-            })
-            .collect();
-        let line = ShardSet::new(config(4));
-        for row in rows() {
-            line.ingest("traffic", &row).unwrap();
+        let parsed: Vec<RawObservation> =
+            rows().iter().map(|r| parse_observation(r).unwrap()).collect();
+        for n in [1usize, 4] {
+            let line = ShardSet::new(config(n));
+            for row in rows() {
+                line.ingest("traffic", &row).unwrap();
+            }
+            let batch = ShardSet::new(config(n));
+            let out = batch.ingest_batch("traffic", &parsed).unwrap();
+            assert_eq!(out.accepted, parsed.len() as u64);
+            let c = line.counters();
+            assert_eq!((out.late, out.windows_emitted), (c.late_rows, c.windows_emitted));
+            assert_eq!(
+                snapshot_bytes(&batch.to_snapshot()),
+                snapshot_bytes(&line.to_snapshot()),
+                "bit-identical state"
+            );
+            assert_eq!(batch.stats_lines(), line.stats_lines());
+            // A non-finite value anywhere rejects the whole frame.
+            let state = ShardSet::new(config(n));
+            let bad = [RawObservation::new(1, 0, 1.0), RawObservation::new(1, 1, f64::NAN)];
+            assert!(state.ingest_batch("traffic", &bad).is_err());
+            assert_eq!(state.counters().rows_ingested, 0, "nothing applied");
         }
-        let batch = ShardSet::new(config(4));
-        let out = batch.ingest_batch("traffic", &parsed).unwrap();
-        assert_eq!(out.accepted, parsed.len() as u64);
-        let c = line.counters();
-        assert_eq!((out.late, out.windows_emitted), (c.late_rows, c.windows_emitted));
-        assert_eq!(snapshot_bytes(&batch.to_snapshot()), snapshot_bytes(&line.to_snapshot()));
-        assert_eq!(batch.stats_lines(), line.stats_lines());
     }
 
     #[test]
@@ -991,6 +907,63 @@ mod tests {
                 text.contains("ausdb_event_time_lag_seconds_count{stream=\"traffic\"}"),
                 "{text}"
             );
+        }
+    }
+
+    /// Close and snapshot telemetry is recorded by the one path, once per
+    /// event: every close (empty ones too) and every snapshot encode and
+    /// decode count the same at any shard count.
+    #[test]
+    fn close_and_snapshot_series_count_the_same_at_any_shard_count() {
+        ausdb_obs::set_enabled(true);
+        let counts: Vec<Vec<u64>> = [1usize, 4]
+            .into_iter()
+            .map(|n| {
+                let set = ShardSet::new(config(n));
+                for row in rows() {
+                    set.ingest("traffic", &row).unwrap();
+                }
+                // One observation per key: the close learns nothing, and counts.
+                set.ingest_batch("sparse", &[RawObservation::new(1, 5, 1.0)]).unwrap();
+                set.ingest_batch("sparse", &[RawObservation::new(2, 25, 1.0)]).unwrap();
+                let snap = set.to_snapshot();
+                set.restore(snap).unwrap();
+                set.to_snapshot();
+                let text = set.metrics_text();
+                ["window_close", "snapshot_encode", "snapshot_decode"]
+                    .iter()
+                    .map(|series| {
+                        let prefix = format!("ausdb_{series}_seconds_count ");
+                        let line = text.lines().find_map(|l| l.strip_prefix(prefix.as_str()));
+                        line.unwrap_or_else(|| panic!("no {prefix}in {text}")).parse().unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(counts[0], counts[1], "[close, encode, decode] counts at shards 1 vs 4");
+        let windows = ShardSet::new(config(1));
+        for row in rows() {
+            windows.ingest("traffic", &row).unwrap();
+        }
+        let non_empty = windows.counters().windows_emitted;
+        assert_eq!(counts[0], [non_empty + 1, 2, 1], "the empty close on `sparse` counts too");
+    }
+
+    /// A coordinator can exist with no learner behind it (its first batch
+    /// failed the WAL append). Snapshots and `STATS` must describe it as
+    /// the empty stream it is — not panic holding every lock.
+    #[test]
+    fn a_stream_with_no_learner_snapshots_as_empty() {
+        for n in [1usize, 3] {
+            let set = ShardSet::new(config(n));
+            set.stream_meta("ghost");
+            let snap = set.to_snapshot();
+            assert_eq!(snap.streams.len(), 1);
+            assert_eq!((snap.streams[0].window_start, &snap.streams[0].registered), (None, &None));
+            assert!(set.stats_lines()[1].starts_with("stream ghost buffered=0 window_start=- "));
+            let revived = ShardSet::new(config(n));
+            assert_eq!(revived.restore(snap.clone()).unwrap(), 1);
+            assert_eq!(snapshot_bytes(&revived.to_snapshot()), snapshot_bytes(&snap));
         }
     }
 

@@ -81,7 +81,8 @@ pub fn read_snapshot(path: &Path) -> io::Result<ServerSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{EngineConfig, EngineState};
+    use crate::shard::ShardSet;
+    use crate::state::EngineConfig;
 
     #[test]
     fn file_round_trip() {
@@ -89,7 +90,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.snap");
 
-        let mut state = EngineState::new(EngineConfig::default());
+        let state = ShardSet::new(EngineConfig::default());
         state.ingest("traffic", "19,100,56").unwrap();
         state.ingest("traffic", "19,101,38").unwrap();
         let snap = state.to_snapshot();
@@ -114,7 +115,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.snap");
 
-        let state = EngineState::new(EngineConfig::default());
+        let state = ShardSet::new(EngineConfig::default());
         write_snapshot(&path, &state.to_snapshot()).unwrap();
         // Simulate crashed writers: our pid, a foreign pid, the legacy name.
         std::fs::write(temp_path(&path, std::process::id()), b"partial").unwrap();

@@ -1,5 +1,4 @@
-//! The server's shared engine state: per-stream learners, the query
-//! session, subscriptions, and snapshot/restore.
+//! The engine's shared types and its one cross-key half, the `QueryCore`.
 //!
 //! This is the glue the paper's Figure 1 implies but the one-shot CLI
 //! never needed: raw rows stream in per connection, per-key learners
@@ -7,6 +6,14 @@
 //! probabilistic relation that one-shot `QUERY`s and standing
 //! `SUBSCRIBE`s evaluate against — with the learned distributions
 //! carrying their accuracy information end to end.
+//!
+//! [`crate::shard::ShardSet`] is the engine: it owns the per-shard learner
+//! buffers and each stream's window cursor, and hands every closed window
+//! to the `QueryCore` defined here — the query session, the subscriptions
+//! with their SLO targets, and the accuracy history. The two share one
+//! metric registry. This module also holds what both speak: the
+//! configuration, the outcome and reply types, the snapshot model and the
+//! row/name parsers.
 //!
 //! ## Window semantics
 //!
@@ -23,7 +30,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use ausdb_engine::obs::StatsReport;
 use ausdb_engine::query::Session;
@@ -51,9 +57,9 @@ pub struct EngineConfig {
     pub max_subscribers: usize,
     /// Per-subscriber queue capacity in protocol lines.
     pub queue_cap: usize,
-    /// Key-sharded engine states in the server (`AUSDB_SHARDS` /
-    /// `--shards`; 1 = the classic single-engine layout). Read by
-    /// [`crate::shard::ShardSet`]; a standalone [`EngineState`] ignores it.
+    /// Key shards in [`crate::shard::ShardSet`] (`AUSDB_SHARDS` /
+    /// `--shards`; at least 1). Every count runs the same code and
+    /// produces the same bytes.
     pub shards: usize,
 }
 
@@ -68,53 +74,35 @@ impl Default for EngineConfig {
     }
 }
 
-/// One stream's learner plus its window cursor.
+/// Per-stream metric handles (labeled `{stream="<name>"}`), cached by the
+/// stream's coordinator so the ingest hot path is one atomic add per run
+/// of rows and never a registry lock.
 #[derive(Debug)]
-struct StreamState {
-    learner: StreamLearner,
-    /// Start of the currently open window; `None` until the first row.
-    window_start: Option<u64>,
-    /// Event-time watermark: the largest timestamp seen on the stream.
-    /// Observational only (never in snapshots or query results).
-    max_ts: Option<u64>,
-    /// Wall-clock of the last ingest call that touched the stream
-    /// (telemetry-gated; powers the `HEALTH` watermark age).
-    last_ingest: Option<Instant>,
-    /// Wall-clock when the currently open window started accumulating
-    /// rows (telemetry-gated; observed into `ingest_to_close` at close).
-    opened_at: Option<Instant>,
-    /// Cached metric handles for this stream's labeled counters.
-    counters: StreamCounters,
-}
-
-/// Per-stream counter handles (labeled `{stream="<name>"}`), cached at
-/// stream creation so the ingest hot path is one atomic increment and
-/// never a registry lock.
-#[derive(Debug, Clone)]
-struct StreamCounters {
-    rows: Arc<Counter>,
-    late: Arc<Counter>,
-    windows: Arc<Counter>,
+pub(crate) struct StreamCounters {
+    pub(crate) rows: Arc<Counter>,
+    pub(crate) late: Arc<Counter>,
+    pub(crate) windows: Arc<Counter>,
     /// Event-time distance the watermark ran past each closed window's
     /// end (how out-of-order / bursty the stream's clock is).
-    event_lag: Arc<Histogram>,
+    pub(crate) event_lag: Arc<Histogram>,
     /// Wall-clock from the open window's first buffered row to its close.
-    ingest_to_close: Arc<Histogram>,
+    pub(crate) ingest_to_close: Arc<Histogram>,
 }
 
-/// This engine instance's metric registry plus cached handles. Every
-/// [`EngineState`] owns its own registry, so embedded instances and tests
-/// stay isolated; [`EngineState::metrics_text`] merges it with the
-/// process-wide engine registry for the `METRICS` exposition.
+/// One engine's metric registry plus cached handles, shared by the
+/// [`crate::shard::ShardSet`] (ingest, close and snapshot series) and its
+/// [`QueryCore`] (query, event and SLO series). Every engine owns its own
+/// registry, so embedded instances and tests stay isolated; the `METRICS`
+/// exposition merges it with the process-wide engine registry.
 #[derive(Debug)]
-struct ServerTelemetry {
-    registry: Registry,
-    queries: Arc<Counter>,
-    events: Arc<Counter>,
+pub(crate) struct ServerTelemetry {
+    pub(crate) registry: Registry,
+    pub(crate) queries: Arc<Counter>,
+    pub(crate) events: Arc<Counter>,
     query_latency: Arc<Histogram>,
-    window_close: Arc<Histogram>,
-    snapshot_encode: Arc<Histogram>,
-    snapshot_decode: Arc<Histogram>,
+    pub(crate) window_close: Arc<Histogram>,
+    pub(crate) snapshot_encode: Arc<Histogram>,
+    pub(crate) snapshot_decode: Arc<Histogram>,
     /// Streams that ever had a `ausdb_subscriber_queue_depth{stream=…}`
     /// series, so sampling can pin a now-subscriber-less stream back to
     /// 0 instead of leaving its last depth frozen in the exposition.
@@ -128,7 +116,7 @@ struct ServerTelemetry {
 const QUEUE_DEPTH_HELP: &str = "Protocol lines queued across the stream's subscriber queues";
 
 impl ServerTelemetry {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Registry::new();
         // 1µs .. 90s covers a tick-resolution server comfortably.
         let latency = log_linear_bounds(-6, 1);
@@ -205,7 +193,7 @@ impl ServerTelemetry {
     /// Fetches (or creates) the labeled counter handles for `name`. A
     /// stream re-created under the same name resumes its counts — the
     /// series, not the handle, owns the value.
-    fn stream(&self, name: &str) -> StreamCounters {
+    pub(crate) fn stream(&self, name: &str) -> StreamCounters {
         let labels = [("stream", name)];
         StreamCounters {
             rows: self.registry.counter(
@@ -325,15 +313,19 @@ pub struct BatchOutcome {
     pub windows_emitted: u64,
 }
 
-/// The engine state shared by all connection threads (behind one mutex).
-pub struct EngineState {
-    config: EngineConfig,
+/// The cross-key half of the engine, one per [`crate::shard::ShardSet`]
+/// behind its `core` mutex (the last lock in the order): the query session
+/// holding each stream's last closed window, the standing queries with
+/// their SLO targets, and the accuracy history. It never sees a raw row —
+/// the shard set hands it closed windows.
+pub(crate) struct QueryCore {
+    max_subscribers: usize,
+    queue_cap: usize,
     session: Session,
-    streams: BTreeMap<String, StreamState>,
     subscriptions: BTreeMap<u64, Subscription>,
     next_subscription_id: u64,
     slo_targets: BTreeMap<u64, SloTarget>,
-    telemetry: ServerTelemetry,
+    telemetry: Arc<ServerTelemetry>,
     last_stats: Option<StatsReport>,
     /// The accuracy-trajectory / metric retention store. Strictly
     /// observational: written on window closes (accuracy points) and by
@@ -342,250 +334,36 @@ pub struct EngineState {
     history: Arc<SeriesStore>,
 }
 
-impl EngineState {
-    /// Creates an empty state.
-    pub fn new(config: EngineConfig) -> Self {
+impl QueryCore {
+    /// An empty core recording into the engine's shared `telemetry`.
+    pub(crate) fn new(config: &EngineConfig, telemetry: Arc<ServerTelemetry>) -> Self {
         Self {
-            config,
+            max_subscribers: config.max_subscribers,
+            queue_cap: config.queue_cap,
             session: Session::new(),
-            streams: BTreeMap::new(),
             subscriptions: BTreeMap::new(),
             next_subscription_id: 1,
             slo_targets: BTreeMap::new(),
-            telemetry: ServerTelemetry::new(),
+            telemetry,
             last_stats: None,
             history: Arc::new(SeriesStore::with_default_tiers()),
         }
     }
 
     /// The retention store behind `HISTORY` / `GET /history`.
-    pub fn history(&self) -> Arc<SeriesStore> {
+    pub(crate) fn history(&self) -> Arc<SeriesStore> {
         Arc::clone(&self.history)
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// Current counters, summed across streams from the metric registry.
-    pub fn counters(&self) -> Counters {
-        let mut c = Counters {
-            queries_run: self.telemetry.queries.get(),
-            events_emitted: self.telemetry.events.get(),
-            ..Counters::default()
-        };
-        for st in self.streams.values() {
-            c.rows_ingested += st.counters.rows.get();
-            c.late_rows += st.counters.late.get();
-            c.windows_emitted += st.counters.windows.get();
-        }
-        c
-    }
-
-    /// The Prometheus text exposition: this instance's registry (with the
-    /// subscriber queue-depth gauge freshly sampled) merged with the
-    /// process-wide engine accuracy registry.
-    pub fn metrics_text(&self) -> String {
-        self.sample_queue_depth();
-        ausdb_obs::metrics::render_merged(&[
-            &self.telemetry.registry,
-            ausdb_engine::obs::telemetry::global().registry(),
-        ])
-    }
-
     /// The query session (registered streams = last closed windows).
-    pub fn session(&self) -> &Session {
+    pub(crate) fn session(&self) -> &Session {
         &self.session
     }
 
-    /// Ingests one `key,ts,value` row into `stream`, closing windows and
-    /// fanning out subscriber events as needed.
-    pub fn ingest(&mut self, stream: &str, row: &str) -> Result<IngestOutcome, String> {
-        let obs = parse_observation(row)?;
-        let name = normalize_stream_name(stream)?;
-        let (_, windows_emitted) = self.ingest_observation(&name, obs)?;
-        self.note_ingest(&name);
-        Ok(IngestOutcome { windows_emitted })
-    }
-
-    /// Ingests a pre-parsed batch of observations into `stream` as if each
-    /// arrived as its own `INGEST` line, in order. The whole batch is
-    /// validated first (any non-finite value rejects the entire frame, so
-    /// a partially applied batch is impossible to observe at the protocol
-    /// level), then applied row by row — serially identical to the line
-    /// path by construction.
-    pub fn ingest_batch(
-        &mut self,
-        stream: &str,
-        rows: &[RawObservation],
-    ) -> Result<BatchOutcome, String> {
-        let name = normalize_stream_name(stream)?;
-        for (i, r) in rows.iter().enumerate() {
-            if !r.value.is_finite() {
-                return Err(format!("row {i}: non-finite value {}", r.value));
-            }
-        }
-        let mut out = BatchOutcome::default();
-        for &obs in rows {
-            let (late, emitted) = self.ingest_observation(&name, obs)?;
-            out.accepted += 1;
-            out.late += u64::from(late);
-            out.windows_emitted += emitted;
-        }
-        if !rows.is_empty() {
-            self.note_ingest(&name);
-        }
-        Ok(out)
-    }
-
-    /// Ingests one parsed observation into the (already normalized)
-    /// stream `name`: buffers it, bumps counters, and closes every window
-    /// its timestamp has moved past. Returns `(was_late, windows_emitted)`.
-    pub(crate) fn ingest_observation(
-        &mut self,
-        name: &str,
-        obs: RawObservation,
-    ) -> Result<(bool, u64), String> {
-        self.ensure_stream(name);
-        let width = self.config.learner.window_width;
-        let late = {
-            let state = self.streams.get_mut(name).expect("stream just ensured");
-            let late = state.window_start.is_some_and(|ws| obs.ts < ws);
-            if late {
-                state.counters.late.inc();
-            }
-            state.learner.observe(obs);
-            if state.window_start.is_none() {
-                state.window_start = Some(align(obs.ts, width));
-            }
-            // Watermark: one u64 compare per row, cheap enough to be
-            // unconditional (purely observational, never snapshotted).
-            state.max_ts = Some(state.max_ts.map_or(obs.ts, |m| m.max(obs.ts)));
-            if state.opened_at.is_none() {
-                state.opened_at = ausdb_obs::now_if_enabled();
-            }
-            state.counters.rows.inc();
-            late
-        };
-        let emitted = self.close_windows_through(name, obs.ts)?;
-        Ok((late, emitted))
-    }
-
-    /// Closes every window `through_ts` has moved past on stream `name`,
-    /// registering each non-empty one and firing subscriber events. The
-    /// jump via `min_buffered_ts` bounds iterations by the number of
-    /// *non-empty* windows, so a large time skip is O(1), not O(Δt).
-    pub(crate) fn close_windows_through(
-        &mut self,
-        name: &str,
-        through_ts: u64,
-    ) -> Result<u64, String> {
-        let width = self.config.learner.window_width;
-        let mut emitted = 0u64;
-        loop {
-            let closing = {
-                let state = self.streams.get(name).expect("stream exists");
-                let ws = state.window_start.expect("window cursor set on first row");
-                (through_ts >= ws.saturating_add(width)).then_some(ws)
-            };
-            let Some(ws) = closing else { break };
-            let start = ausdb_obs::now_if_enabled();
-            let (tuples, schema, counters, opened_at) = {
-                let state = self.streams.get_mut(name).expect("stream exists");
-                let tuples = state.learner.emit_window(ws).map_err(|e| format!("learn: {e}"))?;
-                let next = ws.saturating_add(width);
-                state.window_start = Some(match state.learner.min_buffered_ts() {
-                    Some(min_ts) if min_ts >= next => align(min_ts, width),
-                    _ => next,
-                });
-                let opened_at = state.opened_at.take();
-                // Rows left buffered (the closing row, at least) started
-                // accumulating the next window just now.
-                if state.learner.buffered_len() > 0 {
-                    state.opened_at = start;
-                }
-                (tuples, state.learner.schema().clone(), state.counters.clone(), opened_at)
-            };
-            // Event-time lag: how far past this window's end the
-            // watermark had run when the close fired.
-            counters.event_lag.observe(through_ts.saturating_sub(ws.saturating_add(width)) as f64);
-            if let Some(t0) = opened_at {
-                counters.ingest_to_close.observe_duration(t0.elapsed());
-            }
-            let learned = tuples.len();
-            if !tuples.is_empty() {
-                emitted += 1;
-                counters.windows.inc();
-                self.session.register(name, schema, tuples);
-                self.fire_events(name, ws, counters.late.get());
-            }
-            if let Some(t0) = start {
-                let elapsed = t0.elapsed();
-                self.telemetry.window_close.observe_duration(elapsed);
-                journal::global().record(Level::Info, "window_close", || {
-                    format!(
-                        "stream={name} window_start={ws} tuples={learned} took={}us",
-                        elapsed.as_micros()
-                    )
-                });
-            }
-        }
-        Ok(emitted)
-    }
-
-    /// Creates the stream's learner and counter handles if absent.
-    fn ensure_stream(&mut self, name: &str) {
-        if !self.streams.contains_key(name) {
-            let counters = self.telemetry.stream(name);
-            self.streams.insert(
-                name.to_string(),
-                StreamState {
-                    learner: StreamLearner::new(self.config.learner),
-                    window_start: None,
-                    max_ts: None,
-                    last_ingest: None,
-                    opened_at: None,
-                    counters,
-                },
-            );
-        }
-    }
-
-    // -- shard hooks -------------------------------------------------------
-    //
-    // `crate::shard::ShardSet` splits one logical engine across several
-    // `EngineState`s by key hash. A shard only *buffers* (it never advances
-    // a window cursor or registers content — the coordinator drives closes
-    // with the global cursor so emission order and late accounting are
-    // bit-identical to the unsharded engine), while the coordinator's core
-    // state owns the merged session, subscriptions and query telemetry.
-
-    /// Buffers one observation on a shard without touching any window
-    /// cursor. `late` is the coordinator's global verdict for the row.
-    pub(crate) fn observe_sharded(&mut self, name: &str, obs: RawObservation, late: bool) {
-        self.ensure_stream(name);
-        let state = self.streams.get_mut(name).expect("stream just ensured");
-        if late {
-            state.counters.late.inc();
-        }
-        state.learner.observe(obs);
-        state.counters.rows.inc();
-    }
-
-    /// Emits (and evicts) the window starting at `ws` from the shard's
-    /// learner, returning the learned tuples without registering them or
-    /// bumping any counter. A stream this shard never saw yields no tuples.
-    pub(crate) fn emit_stream_window(&mut self, name: &str, ws: u64) -> Result<Vec<Tuple>, String> {
-        match self.streams.get_mut(name) {
-            Some(state) => state.learner.emit_window(ws).map_err(|e| format!("learn: {e}")),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    /// Registers a merged closed window on the core state: session content,
-    /// subscriber fan-out, and window-close telemetry (the per-stream
-    /// `windows_emitted` counter is the coordinator's to bump).
+    /// Registers a closed, non-empty window: it becomes the stream's
+    /// session content, and every subscription on the stream is
+    /// re-evaluated against it. `late_rows` is the stream's cumulative
+    /// late count at this close.
     pub(crate) fn register_closed_window(
         &mut self,
         name: &str,
@@ -594,127 +372,21 @@ impl EngineState {
         ws: u64,
         late_rows: u64,
     ) {
-        let start = ausdb_obs::now_if_enabled();
-        let learned = tuples.len();
         self.session.register(name, schema, tuples);
         self.fire_events(name, ws, late_rows);
-        if let Some(t0) = start {
-            let elapsed = t0.elapsed();
-            self.telemetry.window_close.observe_duration(elapsed);
-            journal::global().record(Level::Info, "window_close", || {
-                format!(
-                    "stream={name} window_start={ws} tuples={learned} took={}us",
-                    elapsed.as_micros()
-                )
-            });
-        }
     }
 
-    /// The earliest buffered observation timestamp on this shard's copy of
-    /// `name`, if any.
-    pub(crate) fn min_buffered_ts_for(&self, name: &str) -> Option<u64> {
-        self.streams.get(name).and_then(|s| s.learner.min_buffered_ts())
-    }
-
-    /// Buffered observations on this shard's copy of `name`.
-    pub(crate) fn buffered_len_for(&self, name: &str) -> usize {
-        self.streams.get(name).map_or(0, |s| s.learner.buffered_len())
-    }
-
-    /// `(rows, late)` counter values for this shard's copy of `name`.
-    pub(crate) fn stream_counts(&self, name: &str) -> (u64, u64) {
-        self.streams.get(name).map_or((0, 0), |s| (s.counters.rows.get(), s.counters.late.get()))
-    }
-
-    /// The learner behind `name`, if this shard has seen the stream.
-    pub(crate) fn learner_for(&self, name: &str) -> Option<&StreamLearner> {
-        self.streams.get(name).map(|s| &s.learner)
-    }
-
-    /// Installs a rebuilt learner for `name` (restore path). Any previous
-    /// state for the stream is replaced; counter series are re-fetched by
-    /// name so a restored stream resumes its counts.
-    pub(crate) fn install_stream(&mut self, name: &str, learner: StreamLearner) {
-        let counters = self.telemetry.stream(name);
-        self.streams.insert(
-            name.to_string(),
-            StreamState {
-                learner,
-                window_start: None,
-                max_ts: None,
-                last_ingest: None,
-                opened_at: None,
-                counters,
-            },
-        );
-    }
-
-    /// Drops every stream (restore path; counters and session untouched).
-    pub(crate) fn clear_streams(&mut self) {
-        self.streams.clear();
-    }
-
-    /// Resets the query session, keeping its config and batch size
-    /// (restore path for the coordinator's core state).
-    pub(crate) fn reset_session(&mut self) {
+    /// Replaces the session's content with a snapshot's registered windows
+    /// without firing events (restore path). The session keeps its
+    /// `QueryConfig` and batch size: seeds are not part of a snapshot.
+    pub(crate) fn restore_session(&mut self, registered: Vec<(String, Schema, Vec<Tuple>)>) {
         let mut session = Session::new();
         session.config = self.session.config;
         session.batch_size = self.session.batch_size;
-        self.session = session;
-    }
-
-    /// Registers content for `name` in the query session without firing
-    /// events (restore path).
-    pub(crate) fn register_stream_content(
-        &mut self,
-        name: &str,
-        schema: Schema,
-        tuples: Vec<Tuple>,
-    ) {
-        self.session.register(name, schema, tuples);
-    }
-
-    /// This instance's metric registry.
-    pub(crate) fn registry(&self) -> &Registry {
-        &self.telemetry.registry
-    }
-
-    /// The per-stream `windows_emitted` counter handle (creating the
-    /// stream's series if needed).
-    pub(crate) fn windows_counter(&self, name: &str) -> Arc<Counter> {
-        self.telemetry.stream(name).windows
-    }
-
-    /// The per-stream `(event_lag, ingest_to_close)` histogram handles
-    /// (creating the stream's series if needed) — the sharded
-    /// coordinator caches these next to its windows counter.
-    pub(crate) fn lag_histograms(&self, name: &str) -> (Arc<Histogram>, Arc<Histogram>) {
-        let c = self.telemetry.stream(name);
-        (c.event_lag, c.ingest_to_close)
-    }
-
-    /// Stamps the stream's last-ingest wall clock (telemetry-gated; one
-    /// `Instant` read per ingest *call*, not per row, so batch frames pay
-    /// it once).
-    pub(crate) fn note_ingest(&mut self, name: &str) {
-        if let Some(now) = ausdb_obs::now_if_enabled() {
-            if let Some(state) = self.streams.get_mut(name) {
-                state.last_ingest = Some(now);
-            }
+        for (name, schema, tuples) in registered {
+            session.register(&name, schema, tuples);
         }
-    }
-
-    /// Per-stream health snapshots for the `HEALTH` verb.
-    pub(crate) fn stream_health(&self) -> Vec<StreamHealth> {
-        self.streams
-            .iter()
-            .map(|(name, st)| StreamHealth {
-                name: name.clone(),
-                watermark: st.max_ts,
-                age_us: st.last_ingest.map(|t| t.elapsed().as_micros() as u64),
-                buffered: st.learner.buffered_len(),
-            })
-            .collect()
+        self.session = session;
     }
 
     /// The highest total subscriber queue depth observed since start.
@@ -744,7 +416,7 @@ impl EngineState {
     }
 
     /// The `STATS` per-subscriber lines plus the last-query block, without
-    /// the server/stream lines (the coordinator renders those itself).
+    /// the server/stream lines (the shard set renders those from its cursors).
     pub(crate) fn subscriber_and_query_stat_lines(&self) -> Vec<String> {
         let mut out = Vec::new();
         for (id, sub) in &self.subscriptions {
@@ -765,7 +437,7 @@ impl EngineState {
     /// Runs a one-shot statement against the current stream contents,
     /// recording its operator stats for `STATS` when it executed (SELECT
     /// and `EXPLAIN ANALYZE`; a plain `EXPLAIN` only plans).
-    pub fn query(&mut self, sql: &str) -> Result<QueryReply, String> {
+    pub(crate) fn query(&mut self, sql: &str) -> Result<QueryReply, String> {
         let start = ausdb_obs::now_if_enabled();
         match run_statement_with_stats(&self.session, sql) {
             Ok((out, report)) => {
@@ -799,15 +471,18 @@ impl EngineState {
     }
 
     /// Registers a standing query. Returns `(id, stream)` on success.
-    pub fn subscribe(&mut self, sql: &str) -> Result<(u64, String, Arc<SubscriberQueue>), String> {
-        if self.subscriptions.len() >= self.config.max_subscribers {
-            return Err(format!("subscriber limit {} reached", self.config.max_subscribers));
+    pub(crate) fn subscribe(
+        &mut self,
+        sql: &str,
+    ) -> Result<(u64, String, Arc<SubscriberQueue>), String> {
+        if self.subscriptions.len() >= self.max_subscribers {
+            return Err(format!("subscriber limit {} reached", self.max_subscribers));
         }
         let stmt = parse(sql).map_err(|e| e.to_string())?;
         let stream = stmt.from.to_ascii_lowercase();
         let id = self.next_subscription_id;
         self.next_subscription_id += 1;
-        let queue = Arc::new(SubscriberQueue::new(self.config.queue_cap));
+        let queue = Arc::new(SubscriberQueue::new(self.queue_cap));
         self.subscriptions.insert(
             id,
             Subscription {
@@ -821,7 +496,7 @@ impl EngineState {
 
     /// Cancels a subscription (and any SLO attached to it); returns
     /// whether it existed.
-    pub fn unsubscribe(&mut self, id: u64) -> bool {
+    pub(crate) fn unsubscribe(&mut self, id: u64) -> bool {
         self.slo_targets.remove(&id);
         self.subscriptions.remove(&id).is_some()
     }
@@ -830,7 +505,7 @@ impl EngineState {
     /// from now on, every window-close evaluation whose widest CI
     /// exceeds `width` counts a violation, pushes an `ACCURACY` notice
     /// on the subscriber's queue, and journals a WARN `slo` span.
-    pub fn set_slo(&mut self, id: u64, width: f64) -> Result<(), String> {
+    pub(crate) fn set_slo(&mut self, id: u64, width: f64) -> Result<(), String> {
         if !(width.is_finite() && width > 0.0) {
             return Err(format!("bad SLO width {width} (want a finite value > 0)"));
         }
@@ -844,12 +519,12 @@ impl EngineState {
 
     /// `(registered targets, total violations)` across every accuracy
     /// SLO — the `HEALTH` summary fields.
-    pub fn slo_summary(&self) -> (usize, u64) {
+    pub(crate) fn slo_summary(&self) -> (usize, u64) {
         (self.slo_targets.len(), self.slo_targets.values().map(|t| t.violations.get()).sum())
     }
 
     /// The `SLO LIST` payload: one line per registered target.
-    pub fn slo_lines(&self) -> Vec<String> {
+    pub(crate) fn slo_lines(&self) -> Vec<String> {
         self.slo_targets
             .iter()
             .map(|(id, t)| {
@@ -884,7 +559,7 @@ impl EngineState {
     }
 
     /// Number of active subscriptions.
-    pub fn subscriber_count(&self) -> usize {
+    pub(crate) fn subscriber_count(&self) -> usize {
         self.subscriptions.len()
     }
 
@@ -955,121 +630,6 @@ impl EngineState {
                 format!("stream={stream} window_start={window_start} subscribers={matched}")
             });
         }
-    }
-
-    /// `STATS` payload: server counters, per-stream and per-subscriber
-    /// lines, then the last query's operator report.
-    pub fn stats_lines(&self) -> Vec<String> {
-        let c = self.counters();
-        let mut out = vec![format!(
-            "server rows_ingested={} late_rows={} windows_emitted={} queries={} events={} \
-             subscribers={} streams={}",
-            c.rows_ingested,
-            c.late_rows,
-            c.windows_emitted,
-            c.queries_run,
-            c.events_emitted,
-            self.subscriptions.len(),
-            self.streams.len()
-        )];
-        for (name, st) in &self.streams {
-            let registered = self.session.stream(name).map(|(_, t)| t.len()).unwrap_or(0);
-            out.push(format!(
-                "stream {name} buffered={} window_start={} registered_rows={registered} rows={} \
-                 late_rows={}",
-                st.learner.buffered_len(),
-                st.window_start.map_or_else(|| "-".to_string(), |ws| ws.to_string()),
-                st.counters.rows.get(),
-                st.counters.late.get(),
-            ));
-        }
-        for (id, sub) in &self.subscriptions {
-            out.push(format!(
-                "subscriber {id} stream={} queued={} dropped_pending={}",
-                sub.stream,
-                sub.queue.len(),
-                sub.queue.dropped()
-            ));
-        }
-        if let Some(report) = &self.last_stats {
-            out.push("last query:".to_string());
-            out.extend(report.to_string().lines().map(|l| format!("  {l}")));
-        }
-        out
-    }
-
-    // -- snapshot / restore ------------------------------------------------
-
-    /// Captures everything a restart needs: each stream's learner (with
-    /// its buffered observations), window cursor, and currently registered
-    /// window contents. Subscriptions are connection-scoped and deliberately
-    /// not persisted.
-    pub fn to_snapshot(&self) -> ServerSnapshot {
-        let start = ausdb_obs::now_if_enabled();
-        let streams: Vec<StreamSnapshot> = self
-            .streams
-            .iter()
-            .map(|(name, st)| StreamSnapshot {
-                name: name.clone(),
-                learner: encode_learner(&st.learner),
-                window_start: st.window_start,
-                registered: self
-                    .session
-                    .stream(name)
-                    .map(|(schema, tuples)| (schema.clone(), tuples.to_vec())),
-            })
-            .collect();
-        if let Some(t0) = start {
-            let elapsed = t0.elapsed();
-            self.telemetry.snapshot_encode.observe_duration(elapsed);
-            journal::global().record(Level::Info, "snapshot", || {
-                format!("encode streams={} took={}us", streams.len(), elapsed.as_micros())
-            });
-        }
-        ServerSnapshot { streams, wal_seq: 0 }
-    }
-
-    /// Replaces all stream/learner/session state with the snapshot's.
-    /// Counters and live subscriptions are untouched; the session keeps
-    /// its current `QueryConfig` (seeds are not part of a snapshot).
-    pub fn restore(&mut self, snapshot: ServerSnapshot) -> Result<usize, String> {
-        let start = ausdb_obs::now_if_enabled();
-        let mut streams = BTreeMap::new();
-        let mut session = Session::new();
-        session.config = self.session.config;
-        session.batch_size = self.session.batch_size;
-        for s in snapshot.streams {
-            let learner = decode_learner(&s.learner).map_err(|e| e.to_string())?;
-            if let Some((schema, tuples)) = s.registered {
-                session.register(&s.name, schema, tuples);
-            }
-            // Counter handles are re-fetched by name: a stream that
-            // existed before the restore keeps its series (and counts) in
-            // this instance's registry.
-            let counters = self.telemetry.stream(&s.name);
-            streams.insert(
-                s.name,
-                StreamState {
-                    learner,
-                    window_start: s.window_start,
-                    max_ts: None,
-                    last_ingest: None,
-                    opened_at: None,
-                    counters,
-                },
-            );
-        }
-        let n = streams.len();
-        self.streams = streams;
-        self.session = session;
-        if let Some(t0) = start {
-            let elapsed = t0.elapsed();
-            self.telemetry.snapshot_decode.observe_duration(elapsed);
-            journal::global().record(Level::Info, "snapshot", || {
-                format!("decode streams={n} took={}us", elapsed.as_micros())
-            });
-        }
-        Ok(n)
     }
 }
 
@@ -1229,7 +789,11 @@ pub(crate) fn parse_observation(row: &str) -> Result<RawObservation, String> {
 
 #[cfg(test)]
 mod tests {
+    //! `QueryCore` only ever sees closed windows, so these tests drive it
+    //! (and the engine around it) through a one-shard [`ShardSet`].
+
     use super::*;
+    use crate::shard::ShardSet;
     use ausdb_learn::accuracy::DistKind;
 
     fn test_config() -> EngineConfig {
@@ -1246,7 +810,14 @@ mod tests {
         }
     }
 
-    fn ingest_window(state: &mut EngineState, base_ts: u64) -> IngestOutcome {
+    /// The stream's session content: its last non-empty closed window.
+    fn registered(state: &ShardSet, stream: &str) -> (Schema, Vec<Tuple>) {
+        let streams = state.to_snapshot().streams;
+        let s = streams.into_iter().find(|s| s.name == stream).expect("stream exists");
+        s.registered.expect("a window closed")
+    }
+
+    fn ingest_window(state: &ShardSet, base_ts: u64) -> IngestOutcome {
         state.ingest("traffic", &format!("19,{},56", base_ts)).unwrap();
         state.ingest("traffic", &format!("19,{},38", base_ts + 1)).unwrap();
         state.ingest("traffic", &format!("19,{},97", base_ts + 1)).unwrap();
@@ -1256,10 +827,10 @@ mod tests {
 
     #[test]
     fn window_close_registers_stream() {
-        let mut state = EngineState::new(test_config());
-        let out = ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        let out = ingest_window(&state, 100);
         assert_eq!(out.windows_emitted, 1);
-        let (schema, tuples) = state.session().stream("traffic").expect("registered");
+        let (schema, tuples) = registered(&state, "traffic");
         assert_eq!(schema.columns().len(), 2);
         assert_eq!(tuples.len(), 1, "one key in the window");
         assert_eq!(state.counters().rows_ingested, 4);
@@ -1267,7 +838,7 @@ mod tests {
 
     #[test]
     fn large_time_jump_is_single_close() {
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         state.ingest("s", "1,0,5").unwrap();
         state.ingest("s", "1,1,6").unwrap();
         // Jump ~10^15 windows ahead: must close exactly one non-empty
@@ -1279,19 +850,19 @@ mod tests {
 
     #[test]
     fn late_rows_counted_not_emitted() {
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         state.ingest("traffic", "19,50,1").unwrap(); // long before the open window
         assert_eq!(state.counters().late_rows, 1);
     }
 
     #[test]
     fn subscribe_fires_on_window_close() {
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         let (id, stream, queue) = state.subscribe("SELECT * FROM traffic").unwrap();
         assert_eq!(stream, "traffic");
         assert!(queue.is_empty(), "no events before any window closes");
-        ingest_window(&mut state, 100);
+        ingest_window(&state, 100);
         let lines = queue.drain();
         assert!(
             lines[0].starts_with(&format!("EVENT {id} WINDOW 100 ROWS ")),
@@ -1310,7 +881,7 @@ mod tests {
     fn event_blocks_reach_a_draining_connection_whole() {
         const KEYS: u64 = 32;
         const WINDOWS: u64 = 400;
-        let mut state = EngineState::new(EngineConfig { queue_cap: 1 << 20, ..test_config() });
+        let state = ShardSet::new(EngineConfig { queue_cap: 1 << 20, ..test_config() });
         let queues: Vec<_> = (0..4)
             .map(|_| state.subscribe("SELECT * FROM traffic").expect("under the limit").2)
             .collect();
@@ -1366,7 +937,7 @@ mod tests {
 
     #[test]
     fn subscriber_limit_enforced() {
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         for _ in 0..4 {
             state.subscribe("SELECT * FROM traffic").unwrap();
         }
@@ -1375,53 +946,26 @@ mod tests {
 
     #[test]
     fn snapshot_restore_is_identical() {
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         state.ingest("traffic", "19,111,42").unwrap(); // buffered, window open
         let snap = state.to_snapshot();
 
-        let mut restored = EngineState::new(test_config());
+        let restored = ShardSet::new(test_config());
         restored.restore(snap.clone()).unwrap();
         assert_eq!(restored.to_snapshot(), snap, "restore is lossless");
 
         // Same subsequent ingest ⇒ same registered tuples, bit for bit.
         state.ingest("traffic", "19,120,9").unwrap();
         restored.ingest("traffic", "19,120,9").unwrap();
-        let (_, a) = state.session().stream("traffic").unwrap();
-        let (_, b) = restored.session().stream("traffic").unwrap();
+        let (_, a) = registered(&state, "traffic");
+        let (_, b) = registered(&restored, "traffic");
         assert_eq!(a, b);
     }
 
     #[test]
-    fn ingest_batch_matches_serial_ingest() {
-        let rows = [
-            RawObservation::new(19, 100, 56.0),
-            RawObservation::new(7, 101, 38.5),
-            RawObservation::new(19, 103, 97.25),
-            RawObservation::new(19, 95, 1.0), // late once the window opens at 100
-            RawObservation::new(7, 112, 41.0),
-            RawObservation::new(19, 131, 9.0),
-        ];
-        let mut serial = EngineState::new(test_config());
-        for r in rows {
-            serial.ingest("traffic", &format!("{},{},{}", r.key, r.ts, r.value)).unwrap();
-        }
-        let mut batched = EngineState::new(test_config());
-        let out = batched.ingest_batch("traffic", &rows).unwrap();
-        assert_eq!(out.accepted, rows.len() as u64);
-        assert_eq!(out.late, serial.counters().late_rows);
-        assert_eq!(out.windows_emitted, serial.counters().windows_emitted);
-        assert_eq!(batched.to_snapshot(), serial.to_snapshot(), "bit-identical state");
-        // A non-finite value anywhere rejects the whole frame.
-        let mut state = EngineState::new(test_config());
-        let bad = [RawObservation::new(1, 0, 1.0), RawObservation::new(1, 1, f64::NAN)];
-        assert!(state.ingest_batch("traffic", &bad).is_err());
-        assert_eq!(state.counters().rows_ingested, 0, "nothing applied");
-    }
-
-    #[test]
     fn bad_rows_and_names_rejected() {
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         assert!(state.ingest("s", "1,2").is_err());
         assert!(state.ingest("s", "x,2,3").is_err());
         assert!(state.ingest("s", "1,zz,3").is_err());
@@ -1434,8 +978,8 @@ mod tests {
     #[test]
     fn metrics_text_reports_per_stream_counters() {
         ausdb_obs::set_enabled(true);
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         state.ingest("traffic", "19,50,1").unwrap(); // late row
         state.query("SELECT * FROM traffic").unwrap();
         let text = state.metrics_text();
@@ -1464,9 +1008,9 @@ mod tests {
     #[test]
     fn queue_depth_gauges_are_per_stream_with_highwater() {
         ausdb_obs::set_enabled(true);
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         let (_, _, queue) = state.subscribe("SELECT * FROM traffic").unwrap();
-        ingest_window(&mut state, 100); // one EVENT block queued, never drained
+        ingest_window(&state, 100); // one EVENT block queued, never drained
         let queued = queue.len();
         assert!(queued >= 2, "header plus rows");
         let text = state.metrics_text();
@@ -1487,7 +1031,7 @@ mod tests {
     #[test]
     fn slo_violation_fires_notice_counter_and_gauge() {
         ausdb_obs::set_enabled(true);
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         let (id, _, queue) = state.subscribe("SELECT * FROM traffic").unwrap();
         // SLO management: unknown id / bad widths rejected.
         assert!(state.set_slo(id + 1, 0.5).is_err());
@@ -1497,7 +1041,7 @@ mod tests {
         state.set_slo(id, 1e-9).unwrap();
         assert_eq!(state.slo_lines().len(), 1);
         assert!(state.slo_lines()[0].contains("violations=0"), "{:?}", state.slo_lines());
-        ingest_window(&mut state, 100);
+        ingest_window(&state, 100);
         let lines = queue.drain();
         let notice = lines.iter().find(|l| l.starts_with("ACCURACY ")).expect("notice pushed");
         assert!(notice.starts_with(&format!("ACCURACY {id} width=")), "{notice}");
@@ -1516,7 +1060,7 @@ mod tests {
         assert!(text.contains(&format!("ausdb_ci_width_over_target{{query=\"{id}\"}}")), "{text}");
         // A loose target stops violating and zeroes the over-target gauge.
         state.set_slo(id, 1e9).unwrap();
-        ingest_window(&mut state, 300);
+        ingest_window(&state, 300);
         assert!(!queue.drain().iter().any(|l| l.starts_with("ACCURACY")), "loose SLO is quiet");
         let text = state.metrics_text();
         assert!(
@@ -1532,12 +1076,12 @@ mod tests {
     fn slo_watchdog_leaves_query_results_byte_identical() {
         ausdb_obs::set_enabled(true);
         let sql = "SELECT * FROM traffic";
-        let mut plain = EngineState::new(test_config());
-        let mut watched = EngineState::new(test_config());
+        let plain = ShardSet::new(test_config());
+        let watched = ShardSet::new(test_config());
         let (id, _, _queue) = watched.subscribe(sql).unwrap();
         watched.set_slo(id, 1e-9).unwrap();
-        ingest_window(&mut plain, 100);
-        ingest_window(&mut watched, 100);
+        ingest_window(&plain, 100);
+        ingest_window(&watched, 100);
         let QueryReply::Rows(_, a) = plain.query(sql).unwrap() else { panic!("rows") };
         let QueryReply::Rows(_, b) = watched.query(sql).unwrap() else { panic!("rows") };
         assert_eq!(a, b, "the watchdog observes, it never perturbs");
@@ -1547,9 +1091,9 @@ mod tests {
     #[test]
     fn stream_health_tracks_watermark_and_buffer() {
         ausdb_obs::set_enabled(true);
-        let mut state = EngineState::new(test_config());
+        let state = ShardSet::new(test_config());
         assert!(state.stream_health().is_empty());
-        ingest_window(&mut state, 100);
+        ingest_window(&state, 100);
         let health = state.stream_health();
         assert_eq!(health.len(), 1);
         assert_eq!(health[0].name, "traffic");
@@ -1585,8 +1129,8 @@ mod tests {
 
     #[test]
     fn restored_stream_resumes_its_counter_series() {
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         let snap = state.to_snapshot();
         assert_eq!(state.counters().rows_ingested, 4);
         state.restore(snap).unwrap();
@@ -1597,8 +1141,8 @@ mod tests {
 
     #[test]
     fn query_records_stats() {
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         let QueryReply::Rows(_, tuples) = state.query("SELECT * FROM traffic").unwrap() else {
             panic!("SELECT returns rows");
         };
@@ -1609,8 +1153,8 @@ mod tests {
 
     #[test]
     fn explain_statements_return_plans() {
-        let mut state = EngineState::new(test_config());
-        ingest_window(&mut state, 100);
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
         let QueryReply::Plan(plan) = state.query("EXPLAIN SELECT * FROM traffic").unwrap() else {
             panic!("EXPLAIN returns a plan");
         };

@@ -14,13 +14,20 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use ausdb_engine::query::Session;
 use ausdb_learn::accuracy::DistKind;
 use ausdb_learn::learner::{LearnerConfig, RawObservation};
 use ausdb_serve::client::BatchClient;
 use ausdb_serve::render::{render_rows, render_schema};
 use ausdb_serve::server::{Server, ServerConfig, ServerHandle};
-use ausdb_serve::state::{EngineConfig, EngineState};
+use ausdb_serve::shard::ShardSet;
+use ausdb_serve::state::{EngineConfig, QueryReply};
 use ausdb_sql::planner::run_sql;
+
+/// The in-process reference: one learner, one cursor, no `ShardSet`.
+#[allow(dead_code)] // this file reads the emitted windows only
+#[path = "support/serial_model.rs"]
+mod serial_model;
 
 const WINDOW: u64 = 10;
 
@@ -128,15 +135,24 @@ fn ingest_rows_via(client: &mut Client, rows: &[(i64, u64, f64)]) {
     }
 }
 
-fn ingest_rows_inproc(state: &mut EngineState, rows: &[(i64, u64, f64)]) {
-    for (key, ts, value) in rows {
-        state.ingest("traffic", &format!("{key},{ts},{value}")).unwrap();
+/// The query session a server that ingested `rows` into `traffic` must
+/// hold — the stream's last non-empty closed window — computed by the
+/// serial model instead of the engine.
+fn session_after(rows: &[(i64, u64, f64)]) -> Session {
+    let mut model = serial_model::SerialModel::new(engine_config().learner);
+    for &(key, ts, value) in rows {
+        model.ingest(RawObservation::new(key, ts, value));
     }
+    let mut session = Session::new();
+    if let Some((_, tuples)) = model.emitted.pop() {
+        session.register("traffic", model.learner.schema().clone(), tuples);
+    }
+    session
 }
 
 /// Renders the in-process `run_sql` result exactly as the server would.
-fn expected_reply(state: &EngineState, sql: &str) -> Vec<String> {
-    let (schema, tuples) = run_sql(state.session(), sql).expect("in-process query");
+fn expected_reply(session: &Session, sql: &str) -> Vec<String> {
+    let (schema, tuples) = run_sql(session, sql).expect("in-process query");
     let mut lines = vec![render_schema(&schema)];
     lines.extend(render_rows(&tuples));
     lines.push(format!("END {}", tuples.len()));
@@ -150,8 +166,7 @@ fn server_query_bit_identical_to_run_sql() {
     let rows = observation_rows();
     ingest_rows_via(&mut client, &rows);
 
-    let mut state = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut state, &rows);
+    let state = session_after(&rows);
 
     // Same default seed (QueryConfig::default) on both sides; BOOTSTRAP
     // exercises the seeded Monte-Carlo path, so bit-identity is a real
@@ -204,9 +219,7 @@ fn kill_and_restore_resumes_identical_state() {
     // window must match an in-process state that saw all rows in one life.
     let closing = [(19i64, 131u64, 44.0f64), (20, 132, 63.0)];
     ingest_rows_via(&mut client, &closing);
-    let mut state = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut state, &rows);
-    ingest_rows_inproc(&mut state, &closing);
+    let state = session_after(&[&rows[..], &closing[..]].concat());
     assert_eq!(
         client.request(&format!("QUERY {sql}")),
         expected_reply(&state, sql),
@@ -611,15 +624,24 @@ fn telemetry_flag_does_not_affect_results() {
     let rows = observation_rows();
     let sql = "SELECT * FROM traffic WITH ACCURACY BOOTSTRAP LEVEL 0.9 SAMPLES 200";
 
+    // The engine itself, in process: its ingest and close paths are the
+    // ones that read the flag.
+    let engine_reply = || {
+        let engine = ShardSet::new(engine_config());
+        for (key, ts, value) in &rows {
+            engine.ingest("traffic", &format!("{key},{ts},{value}")).unwrap();
+        }
+        let QueryReply::Rows(schema, tuples) = engine.query(sql).unwrap() else {
+            panic!("SELECT returns rows");
+        };
+        let mut lines = vec![render_schema(&schema)];
+        lines.extend(render_rows(&tuples));
+        lines
+    };
     ausdb_obs::set_enabled(true);
-    let mut on = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut on, &rows);
-    let with_telemetry = expected_reply(&on, sql);
-
+    let with_telemetry = engine_reply();
     ausdb_obs::set_enabled(false);
-    let mut off = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut off, &rows);
-    let without_telemetry = expected_reply(&off, sql);
+    let without_telemetry = engine_reply();
     ausdb_obs::set_enabled(true);
 
     assert!(with_telemetry.len() > 2, "query returned rows: {with_telemetry:?}");
@@ -979,8 +1001,7 @@ fn ingestb_batch_matches_line_ingest() {
     assert_eq!(outcome.windows_emitted, 2, "two full windows close during the batch");
 
     // Bit-identical to the in-process line path for every query shape.
-    let mut state = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut state, &rows);
+    let state = session_after(&rows);
     let mut client = Client::connect(&handle);
     for sql in [
         "SELECT * FROM traffic",
@@ -1025,6 +1046,38 @@ fn ingestb_frame_errors_are_structured() {
     handle.stop();
 }
 
+/// A batch frame with no rows is acknowledged and leaves no trace — no
+/// stream, no coordinator — so `STATS` cannot tell the shard counts apart
+/// and a later `SNAPSHOT` finds nothing half-made. (Before the shard
+/// counts shared one ingest path, two or more shards registered a
+/// coordinator with no learner and every later snapshot panicked.)
+#[test]
+fn zero_row_frame_creates_nothing_at_any_shard_count() {
+    use ausdb_model::codec::encode_ingest_frame;
+
+    let frame = encode_ingest_frame(&[]);
+    assert_eq!(frame.len(), 14, "header and CRC only");
+    let dir = std::env::temp_dir().join(format!("ausdb_loopback_empty_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut stats = Vec::new();
+    for shards in [1usize, 2, 8] {
+        let snap = dir.join(format!("state{shards}.snap"));
+        let handle = start_sharded_server(Some(snap), Duration::from_millis(25), shards);
+        let mut client = Client::connect(&handle);
+        client.send(&format!("INGESTB fresh {}", frame.len()));
+        client.stream.write_all(&frame).unwrap();
+        assert_eq!(client.read_line(), "OK INGESTED fresh rows=0 late=0 windows_emitted=0");
+        let reply = client.request("STATS");
+        assert!(reply[0].ends_with(" streams=0"), "shards={shards}: {reply:?}");
+        stats.push(reply);
+        let reply = client.request("SNAPSHOT");
+        assert!(reply[0].starts_with("OK SNAPSHOT "), "shards={shards}: {reply:?}");
+        handle.stop();
+    }
+    assert!(stats.iter().all(|s| s == &stats[0]), "STATS tells shard counts apart: {stats:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A sharded server must answer queries bit-identically to the
 /// single-engine in-process path — the tentpole's hard invariant, proven
 /// over the wire.
@@ -1034,8 +1087,7 @@ fn sharded_server_is_bit_identical_to_unsharded() {
     use ausdb_serve::client::BatchClient;
 
     let rows = observation_rows();
-    let mut state = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut state, &rows);
+    let state = session_after(&rows);
 
     for shards in [2usize, 8] {
         let handle = start_sharded_server(None, Duration::from_millis(25), shards);
@@ -1074,12 +1126,11 @@ fn non_finite_query_results_match_the_display_oracle() {
     let mut client = Client::connect(&handle);
     let rows = observation_rows();
     ingest_rows_via(&mut client, &rows);
-    let mut state = EngineState::new(engine_config());
-    ingest_rows_inproc(&mut state, &rows);
+    let state = session_after(&rows);
 
     let sql = "SELECT key, key * 1e300 * 1e300 AS up, (0 - key) * 1e300 * 1e300 AS down, \
                key * 1e300 * 1e300 - key * 1e300 * 1e300 AS nan, key * 1e300 AS big FROM traffic";
-    let (schema, tuples) = run_sql(state.session(), sql).expect("in-process query");
+    let (schema, tuples) = run_sql(&state, sql).expect("in-process query");
     let mut want = String::new();
     display_oracle::render_schema_into(&mut want, &schema);
     want.push('\n');

@@ -1,17 +1,23 @@
 //! Property tests for the tentpole invariant of the sharded engine:
 //! **shard count is unobservable**. For any row stream — arbitrary key
 //! mix, out-of-order timestamps (late rows), time jumps — a `ShardSet`
-//! with 1, 2, or 8 shards must produce byte-identical snapshots,
-//! bit-identical query renders, and identical stats/counters; and a
-//! snapshot taken at one shard count must restore exactly at another.
+//! with 1, 2, or 8 shards must produce the snapshot bytes, query render
+//! and counters of a serial one-learner model (`support/serial_model.rs`;
+//! every shard count runs the same engine code, so one shard is no oracle
+//! for eight); and a snapshot taken at one shard count must restore
+//! exactly at another.
 
 use ausdb_learn::accuracy::DistKind;
 use ausdb_learn::learner::{LearnerConfig, RawObservation};
 use ausdb_model::codec::{Codec, Writer};
 use ausdb_serve::render::{render_rows, render_schema};
 use ausdb_serve::shard::ShardSet;
-use ausdb_serve::state::{EngineConfig, QueryReply, ServerSnapshot};
+use ausdb_serve::state::{EngineConfig, QueryReply, ServerSnapshot, StreamSnapshot};
 use proptest::prelude::*;
+
+#[path = "support/serial_model.rs"]
+mod serial_model;
+use serial_model::SerialModel;
 
 const WINDOW: u64 = 10;
 
@@ -61,8 +67,9 @@ fn ingest_lines(set: &ShardSet, rows: &[RawObservation]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// 1-, 2-, and 8-shard sets fed identical rows are indistinguishable:
-    /// same snapshot bytes, same query render, same counters.
+    /// 1-, 2-, and 8-shard sets fed identical rows are indistinguishable
+    /// from the serial model: same snapshot bytes, same query render,
+    /// same counters.
     #[test]
     fn shard_count_is_unobservable(
         raw in prop::collection::vec(
@@ -75,13 +82,28 @@ proptest! {
         let rows: Vec<RawObservation> =
             raw.iter().map(|&(k, ts, v)| RawObservation::new(k, ts, v)).collect();
 
-        let reference = ShardSet::new(config(1));
-        ingest_lines(&reference, &rows);
-        let want_snap = snapshot_bytes(&reference.to_snapshot());
-        let want_query = rendered(&reference, "SELECT * FROM traffic");
-        let want_counters = reference.counters();
+        let mut model = SerialModel::new(config(1).learner);
+        rows.iter().for_each(|&obs| model.ingest(obs));
+        let schema = model.learner.schema().clone();
+        let last = model.emitted.last().map(|(_, tuples)| tuples.clone());
+        let mut learner = Writer::new();
+        model.learner.encode(&mut learner);
+        let want_snap = snapshot_bytes(&ServerSnapshot {
+            streams: vec![StreamSnapshot {
+                name: "traffic".to_string(),
+                learner: learner.into_bytes(),
+                window_start: model.cursor,
+                registered: last.clone().map(|tuples| (schema.clone(), tuples)),
+            }],
+            wal_seq: 0,
+        });
+        let want_query = last.map(|tuples| {
+            let mut lines = vec![render_schema(&schema)];
+            lines.extend(render_rows(&tuples));
+            lines
+        });
 
-        for shards in [2usize, 8] {
+        for shards in [1usize, 2, 8] {
             let set = ShardSet::new(config(shards));
             ingest_lines(&set, &rows);
             prop_assert_eq!(
@@ -89,15 +111,18 @@ proptest! {
                 want_snap.clone(),
                 "snapshot bytes differ at {} shards", shards
             );
-            prop_assert_eq!(
-                rendered(&set, "SELECT * FROM traffic"),
-                want_query.clone(),
-                "query render differs at {} shards", shards
-            );
+            let got_query = rendered(&set, "SELECT * FROM traffic");
+            match &want_query {
+                Some(want) => prop_assert_eq!(
+                    &got_query, want, "query render differs at {} shards", shards
+                ),
+                // No window closed with tuples: nothing is registered yet.
+                None => prop_assert!(got_query[0].starts_with("ERR "), "{:?}", got_query),
+            }
             let got = set.counters();
-            prop_assert_eq!(got.rows_ingested, want_counters.rows_ingested);
-            prop_assert_eq!(got.late_rows, want_counters.late_rows);
-            prop_assert_eq!(got.windows_emitted, want_counters.windows_emitted);
+            prop_assert_eq!(got.rows_ingested, rows.len() as u64);
+            prop_assert_eq!(got.late_rows, model.late);
+            prop_assert_eq!(got.windows_emitted, model.emitted.len() as u64);
         }
     }
 
