@@ -1,4 +1,6 @@
-//! Theorem 1: analytical accuracy of query results.
+//! Accuracy of query results: Theorem 1 analytically, and the one place
+//! where an operator's result becomes a [`Field`] with its accuracy
+//! attached (Theorem 1 or `BOOTSTRAP-ACCURACY-INFO`, per [`AccuracyMode`]).
 //!
 //! "Let 𝒟 denote the distribution of a probabilistic field Y in a query
 //! result tuple … Lemma 1 (Lemma 2) determines its accuracy information,
@@ -9,9 +11,15 @@
 
 use ausdb_model::accuracy::{AccuracyInfo, TupleProbability};
 use ausdb_model::dist::AttrDistribution;
+use ausdb_model::tuple::Field;
 use ausdb_stats::ci::{mean_interval, proportion_interval, variance_interval};
+use rand::rngs::StdRng;
 
+use crate::bootstrap::bootstrap_accuracy_info;
 use crate::error::EngineError;
+use crate::mc::sample_distribution;
+use crate::obs::OpMetrics;
+use crate::ops::AccuracyMode;
 
 /// **Theorem 1** for a result field: analytical accuracy of a result
 /// distribution `dist` whose de-facto sample size is `df_n`, at confidence
@@ -55,6 +63,61 @@ pub fn tuple_probability_accuracy(
     let tp = TupleProbability::new(p).map_err(EngineError::Model)?;
     let ci = proportion_interval(p, df_n, level);
     Ok(tp.with_ci(ci, df_n))
+}
+
+/// What an operator computed for one uncertain result field — the two
+/// categories of Section III-B.
+pub(crate) enum ResultRv {
+    /// A distribution obtained directly (closed form).
+    ClosedForm(AttrDistribution),
+    /// A Monte-Carlo value sequence, at least `2 · df_n` long; it becomes
+    /// the field's empirical distribution.
+    Drawn(Vec<f64>),
+}
+
+/// The Gaussian `N(mu, var)`, or the point `mu` when `var` is not positive.
+pub(crate) fn gaussian_or_point(mu: f64, var: f64) -> Result<AttrDistribution, EngineError> {
+    Ok(if var > 0.0 { AttrDistribution::gaussian(mu, var)? } else { AttrDistribution::Point(mu) })
+}
+
+/// Turns a result with de-facto sample size `df_n` (Lemma 3) into its
+/// [`Field`], attaching accuracy as `mode` asks: Theorem 1 over the result
+/// distribution, or `BOOTSTRAP-ACCURACY-INFO` over a value sequence — the
+/// drawn one, or `mc_values` samples of the closed form from the operator's
+/// `rng` (inside a `bootstrap_accuracy` span). Every operator routes
+/// through here, so `metrics` gets the accuracy attribution in one place.
+pub(crate) fn result_field(
+    result: ResultRv,
+    df_n: usize,
+    mode: AccuracyMode,
+    rng: &mut StdRng,
+    metrics: &OpMetrics,
+) -> Result<Field, EngineError> {
+    let (dist, drawn) = match result {
+        ResultRv::ClosedForm(dist) => (dist, false),
+        ResultRv::Drawn(values) => (AttrDistribution::empirical(values)?, true),
+    };
+    let info = match mode {
+        AccuracyMode::None => return Ok(Field::learned(dist, df_n)),
+        AccuracyMode::Analytical { level } => result_accuracy(&dist, df_n, level)?,
+        AccuracyMode::Bootstrap { level, mc_values } => {
+            let (info, m) = metrics.with_span("bootstrap_accuracy", || {
+                let sampled;
+                let v = match dist.raw_sample().filter(|_| drawn) {
+                    Some(values) => values,
+                    None => {
+                        sampled = sample_distribution(&dist, mc_values.max(2 * df_n), rng);
+                        &sampled
+                    }
+                };
+                bootstrap_accuracy_info(v, df_n, level, None).map(|info| (info, v.len()))
+            })?;
+            metrics.record_resamples((m / df_n.max(1)) as u64);
+            info
+        }
+    };
+    metrics.record_accuracy(&info);
+    Ok(Field::learned(dist, df_n).with_accuracy(info))
 }
 
 #[cfg(test)]

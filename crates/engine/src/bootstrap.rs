@@ -16,11 +16,6 @@ use ausdb_stats::ci::percentile_interval;
 use ausdb_stats::summary::Summary;
 
 use crate::error::EngineError;
-use crate::mc::default_threads;
-
-/// Minimum touched-value count (`r · n`) before the resample-statistics
-/// loop fans out to worker threads; below this the spawn cost dominates.
-const PAR_THRESHOLD: usize = 64 * 1024;
 
 /// Per-resample statistics in a single pass: each value is binned by binary
 /// search over the edge array (O(n·log b)) instead of rescanning the
@@ -45,30 +40,6 @@ fn resample_stats(resample: &[f64], edges: Option<&[f64]>, counts: &mut [usize])
     (s.mean(), s.variance())
 }
 
-/// Statistics for the contiguous block of resamples `lo..hi`: per-resample
-/// means, variances, and (resample-major) bin counts.
-fn resample_block(
-    v: &[f64],
-    n: usize,
-    lo: usize,
-    hi: usize,
-    edges: Option<&[f64]>,
-    b: usize,
-) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
-    let len = hi.saturating_sub(lo);
-    let mut means = Vec::with_capacity(len);
-    let mut variances = Vec::with_capacity(len);
-    let mut counts = vec![0usize; len * b];
-    for (j, i) in (lo..hi).enumerate() {
-        // Lines 3–5: the i-th resample is v[i·n .. i·n + n].
-        let resample = &v[i * n..(i + 1) * n];
-        let (mean, var) = resample_stats(resample, edges, &mut counts[j * b..(j + 1) * b]);
-        means.push(mean);
-        variances.push(var);
-    }
-    (means, variances, counts)
-}
-
 /// Runs `BOOTSTRAP-ACCURACY-INFO(v, n, level)`.
 ///
 /// `bin_edges`, when provided (length `b + 1`, strictly increasing), adds
@@ -79,29 +50,11 @@ fn resample_block(
 ///
 /// Requires `m ≥ 2n` (at least two d.f. resamples) and `n ≥ 2` (sample
 /// variance needs two observations).
-///
-/// Large inputs parallelize the per-resample loop across
-/// [`default_threads`] workers; the result is independent of the worker
-/// count (resample statistics involve no randomness and blocks merge in
-/// index order). Use [`bootstrap_accuracy_info_with_threads`] to pin the
-/// count.
 pub fn bootstrap_accuracy_info(
     v: &[f64],
     n: usize,
     level: f64,
     bin_edges: Option<&[f64]>,
-) -> Result<AccuracyInfo, EngineError> {
-    bootstrap_accuracy_info_with_threads(v, n, level, bin_edges, default_threads())
-}
-
-/// [`bootstrap_accuracy_info`] with an explicit worker count. `threads` is
-/// a capacity cap, not a schedule: any value yields bit-identical output.
-pub fn bootstrap_accuracy_info_with_threads(
-    v: &[f64],
-    n: usize,
-    level: f64,
-    bin_edges: Option<&[f64]>,
-    threads: usize,
 ) -> Result<AccuracyInfo, EngineError> {
     if n < 2 {
         return Err(EngineError::NoAccuracyInfo(format!(
@@ -125,35 +78,17 @@ pub fn bootstrap_accuracy_info_with_threads(
     }
     let b = bin_edges.map(|e| e.len() - 1).unwrap_or(0);
 
-    let threads = if r * n < PAR_THRESHOLD { 1 } else { threads.clamp(1, r) };
-    let blocks: Vec<(Vec<f64>, Vec<f64>, Vec<usize>)> = if threads == 1 {
-        vec![resample_block(v, n, 0, r, bin_edges, b)]
-    } else {
-        let per = r.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (lo, hi) = ((w * per).min(r), ((w + 1) * per).min(r));
-                    scope.spawn(move || resample_block(v, n, lo, hi, bin_edges, b))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("bootstrap worker panicked")).collect()
-        })
-    };
-
-    // Merge blocks in index order (lines 9–10 collected per resample).
     let mut means = Vec::with_capacity(r);
     let mut variances = Vec::with_capacity(r);
     let mut bin_heights: Vec<Vec<f64>> = vec![Vec::with_capacity(r); b];
-    for (ms, vs, counts) in blocks {
-        means.extend(ms);
-        variances.extend(vs);
-        if b > 0 {
-            for row in counts.chunks_exact(b) {
-                for (k, &c) in row.iter().enumerate() {
-                    bin_heights[k].push(c as f64 / n as f64);
-                }
-            }
+    let mut counts = vec![0usize; b];
+    // Lines 3–10: the i-th resample is v[i·n .. i·n + n].
+    for resample in v.chunks_exact(n) {
+        let (mean, var) = resample_stats(resample, bin_edges, &mut counts);
+        means.push(mean);
+        variances.push(var);
+        for (heights, &c) in bin_heights.iter_mut().zip(&counts) {
+            heights.push(c as f64 / n as f64);
         }
     }
 
@@ -275,30 +210,13 @@ mod tests {
         v[4] = 9.0; // above range
         let edges = [-1.0, 0.5, 1.5, 2.5, 4.0];
         for n in [10, 37, 250] {
-            let info = bootstrap_accuracy_info_with_threads(&v, n, 0.9, Some(&edges), 1).unwrap();
+            let info = bootstrap_accuracy_info(&v, n, 0.9, Some(&edges)).unwrap();
             let got = info.bin_cis.unwrap();
             let want = bin_cis_by_rescan(&v, n, 0.9, &edges);
             assert_eq!(got.len(), want.len());
             for (k, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!((g.lo, g.hi), (w.lo, w.hi), "bin {k} at n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn thread_count_does_not_change_output() {
-        // Big enough to clear PAR_THRESHOLD so the fan-out genuinely runs.
-        let d = Exponential::new(0.5).unwrap();
-        let mut rng = seeded(89);
-        let v = d.sample_n(&mut rng, 80_000);
-        let edges = [0.0, 1.0, 2.0, 4.0, 16.0];
-        let base = bootstrap_accuracy_info_with_threads(&v, 40, 0.9, Some(&edges), 1).unwrap();
-        for threads in [2, 3, 8] {
-            let got =
-                bootstrap_accuracy_info_with_threads(&v, 40, 0.9, Some(&edges), threads).unwrap();
-            assert_eq!(got.mean_ci, base.mean_ci, "threads={threads}");
-            assert_eq!(got.variance_ci, base.variance_ci, "threads={threads}");
-            assert_eq!(got.bin_cis, base.bin_cis, "threads={threads}");
         }
     }
 

@@ -93,9 +93,7 @@ impl std::fmt::Display for UnaryOp {
 
 /// Pre-sampled column draws for batched evaluation, laid out
 /// structure-of-arrays: one contiguous buffer of `m` observations per
-/// referenced uncertain column. The buffers are reusable across tuples and
-/// chunks via [`BatchDraws::reset`], so a steady-state Monte-Carlo loop
-/// allocates nothing per batch.
+/// referenced uncertain column.
 #[derive(Debug, Default)]
 pub struct BatchDraws {
     cols: Vec<(String, Vec<f64>)>,
@@ -116,14 +114,6 @@ impl BatchDraws {
     /// Whether the batch holds zero iterations.
     pub fn is_empty(&self) -> bool {
         self.m == 0
-    }
-
-    /// Re-targets the buffers at a new batch size, keeping allocations.
-    pub fn reset(&mut self, m: usize) {
-        self.m = m;
-        for (_, buf) in &mut self.cols {
-            buf.resize(m, 0.0);
-        }
     }
 
     /// The draw buffer for `name` (sized to the batch), created on first
@@ -314,25 +304,6 @@ impl Expr {
             BatchVal::Col(xs) => xs.to_vec(),
             BatchVal::Owned(xs) => xs,
         })
-    }
-
-    /// [`Expr::eval_batch`] writing into a caller-owned slice (`out.len()`
-    /// must equal `draws.len()`), for evaluating straight into a chunk of a
-    /// larger result buffer.
-    pub fn eval_batch_into(
-        &self,
-        tuple: &Tuple,
-        schema: &Schema,
-        draws: &BatchDraws,
-        out: &mut [f64],
-    ) -> Result<(), EngineError> {
-        debug_assert_eq!(out.len(), draws.len(), "output slice must match batch size");
-        match self.eval_batch_inner(tuple, schema, draws)? {
-            BatchVal::Scalar(v) => out.fill(v),
-            BatchVal::Col(xs) => out.copy_from_slice(xs),
-            BatchVal::Owned(xs) => out.copy_from_slice(&xs),
-        }
-        Ok(())
     }
 
     fn eval_batch_inner<'a>(
@@ -661,23 +632,14 @@ mod tests {
                     e.eval_with_draws(&t, &s, &|name| draws.get(name).map(|col| col[i])).unwrap();
                 assert_eq!(got, want, "expr {e}, iteration {i}");
             }
-            // The into-variant writes the same values.
-            let mut out = vec![0.0; m];
-            e.eval_batch_into(&t, &s, &draws, &mut out).unwrap();
-            assert_eq!(out, batch);
         }
     }
 
     #[test]
-    fn batch_draws_reset_keeps_buffers() {
+    fn batch_draws_lookup_is_case_insensitive() {
         let mut draws = BatchDraws::new(4);
         draws.entry("A").copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(draws.get("a"), Some(&[1.0, 2.0, 3.0, 4.0][..]));
-        draws.reset(2);
-        assert_eq!(draws.len(), 2);
-        assert_eq!(draws.get("A").unwrap().len(), 2);
-        draws.reset(3);
-        assert_eq!(draws.entry("a").len(), 3);
         assert!(draws.get("missing").is_none());
     }
 

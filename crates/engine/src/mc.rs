@@ -10,30 +10,18 @@ use ausdb_model::schema::Schema;
 use ausdb_model::tuple::Tuple;
 use ausdb_model::value::Value;
 use ausdb_model::AttrDistribution;
-use ausdb_stats::rng::substream;
 use rand::Rng;
 
 use crate::error::EngineError;
 use crate::expr::{BatchDraws, Expr};
 
-/// Fixed granule of the deterministic parallel path: work splits into
-/// `MC_CHUNK`-iteration pieces whose RNGs derive from `(seed, chunk index)`
-/// alone, so the schedule — and therefore the thread count — cannot affect
-/// the output bits.
-pub const MC_CHUNK: usize = 1024;
-
-/// Worker count used by the parallel paths when the caller does not pin
-/// one: the `AUSDB_THREADS` environment variable if set and positive,
-/// otherwise the machine's available parallelism. Parsed through the
-/// central [`crate::obs::knobs`] layer, which warns once on invalid
-/// values instead of silently ignoring them.
-pub fn default_threads() -> usize {
-    crate::obs::knobs::threads()
-}
-
 /// Produces `m` Monte-Carlo values of `expr` over `tuple` — the sequence
 /// `v[0..m]` fed to `BOOTSTRAP-ACCURACY-INFO`. Each iteration draws one
 /// observation per referenced uncertain column (a de-facto observation).
+///
+/// This per-draw transcription is the **reference**: the property tests,
+/// the coverage tests and the paper figures compare against it. Operators
+/// call [`monte_carlo_batch`].
 pub fn monte_carlo<R: Rng + ?Sized>(
     expr: &Expr,
     tuple: &Tuple,
@@ -50,29 +38,12 @@ pub fn monte_carlo<R: Rng + ?Sized>(
     Ok(out)
 }
 
-/// Samples the draw buffers for every uncertain column `expr` references,
-/// in first-appearance order (the same order `Expr::eval_sampled` consumes
-/// the generator), using each distribution's bulk kernel.
-fn fill_draws<R: Rng + ?Sized>(
-    expr: &Expr,
-    tuple: &Tuple,
-    schema: &Schema,
-    rng: &mut R,
-    draws: &mut BatchDraws,
-) -> Result<(), EngineError> {
-    for name in expr.columns() {
-        let field = tuple.field(schema, &name)?;
-        if let Value::Dist(d) = &field.value {
-            d.sample_into(rng, draws.entry(&name));
-        }
-    }
-    Ok(())
-}
-
-/// Batched Monte Carlo: draws all `m` observations per referenced column
-/// up front into structure-of-arrays buffers (one `sample_into` call per
-/// column instead of `m` scalar draws), then evaluates the expression
-/// column-wise with one tree walk for the whole batch.
+/// Batched Monte Carlo, the one entry point operators use: draws all `m`
+/// observations per referenced uncertain column up front into
+/// structure-of-arrays buffers (one `sample_into` call per column, in the
+/// first-appearance order `Expr::eval_sampled` consumes the generator),
+/// then evaluates the expression column-wise with one tree walk for the
+/// whole batch.
 ///
 /// Statistically equivalent to [`monte_carlo`] — every iteration draws one
 /// observation per referenced uncertain column from the same distribution —
@@ -87,79 +58,12 @@ pub fn monte_carlo_batch<R: Rng + ?Sized>(
 ) -> Result<Vec<f64>, EngineError> {
     assert!(m > 0, "need at least one Monte-Carlo iteration");
     let mut draws = BatchDraws::new(m);
-    fill_draws(expr, tuple, schema, rng, &mut draws)?;
-    let out = expr.eval_batch(tuple, schema, &draws)?;
-    crate::obs::record_mc_draws(m);
-    Ok(out)
-}
-
-/// Runs one fixed-size chunk of the parallel pipeline: reseed from the
-/// chunk index, refill the worker's reusable draw buffers, evaluate
-/// straight into the chunk's slice of the output.
-fn run_chunk(
-    expr: &Expr,
-    tuple: &Tuple,
-    schema: &Schema,
-    seed: u64,
-    idx: usize,
-    chunk: &mut [f64],
-    draws: &mut BatchDraws,
-) -> Result<(), EngineError> {
-    let mut rng = substream(seed, idx as u64);
-    draws.reset(chunk.len());
-    fill_draws(expr, tuple, schema, &mut rng, draws)?;
-    expr.eval_batch_into(tuple, schema, draws, chunk)
-}
-
-/// Parallel batched Monte Carlo over `threads` workers.
-///
-/// The `m` iterations split into [`MC_CHUNK`]-sized chunks; chunk `i` draws
-/// from `substream(seed, i)` and chunks are statically assigned round-robin
-/// to workers. Because each chunk's generator and length depend only on
-/// `(seed, i)`, the result is **bit-identical for every thread count** —
-/// `monte_carlo_par(…, 1)` and `monte_carlo_par(…, 8)` agree exactly.
-pub fn monte_carlo_par(
-    expr: &Expr,
-    tuple: &Tuple,
-    schema: &Schema,
-    m: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<Vec<f64>, EngineError> {
-    assert!(m > 0, "need at least one Monte-Carlo iteration");
-    let threads = threads.max(1);
-    let mut out = vec![0.0; m];
-    let chunks: Vec<(usize, &mut [f64])> = out.chunks_mut(MC_CHUNK).enumerate().collect();
-    if threads == 1 || chunks.len() == 1 {
-        let mut draws = BatchDraws::new(0);
-        for (idx, chunk) in chunks {
-            run_chunk(expr, tuple, schema, seed, idx, chunk, &mut draws)?;
-        }
-    } else {
-        let mut per_worker: Vec<Vec<(usize, &mut [f64])>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (idx, chunk) in chunks {
-            per_worker[idx % threads].push((idx, chunk));
-        }
-        let results: Vec<Result<(), EngineError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_worker
-                .into_iter()
-                .map(|work| {
-                    scope.spawn(move || {
-                        let mut draws = BatchDraws::new(0);
-                        for (idx, chunk) in work {
-                            run_chunk(expr, tuple, schema, seed, idx, chunk, &mut draws)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("MC worker panicked")).collect()
-        });
-        for r in results {
-            r?;
+    for name in expr.columns() {
+        if let Value::Dist(d) = &tuple.field(schema, &name)?.value {
+            d.sample_into(rng, draws.entry(&name));
         }
     }
+    let out = expr.eval_batch(tuple, schema, &draws)?;
     crate::obs::record_mc_draws(m);
     Ok(out)
 }
@@ -265,70 +169,5 @@ mod tests {
         assert_eq!(vs.len(), 10_000);
         let mean = vs.iter().sum::<f64>() / vs.len() as f64;
         assert!((mean - 8.0).abs() < 0.1, "batch mean {mean}");
-    }
-
-    #[test]
-    fn parallel_bit_identical_across_thread_counts() {
-        let (schema, t) = setup();
-        let e = Expr::bin(BinOp::Mul, Expr::col("x"), Expr::col("y"));
-        // Cover: sub-chunk, exact multiple, and ragged final chunk.
-        for m in [100, MC_CHUNK, 3 * MC_CHUNK, 3 * MC_CHUNK + 7] {
-            let base = monte_carlo_par(&e, &t, &schema, m, 99, 1).unwrap();
-            for threads in [2, 3, 8] {
-                let got = monte_carlo_par(&e, &t, &schema, m, 99, threads).unwrap();
-                assert_eq!(base, got, "m={m}, threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mean_is_sane() {
-        let (schema, t) = setup();
-        let e = Expr::bin(BinOp::Add, Expr::col("x"), Expr::col("y"));
-        let vs = monte_carlo_par(&e, &t, &schema, 20_000, 7, 4).unwrap();
-        let mean = vs.iter().sum::<f64>() / vs.len() as f64;
-        assert!((mean - 8.0).abs() < 0.1, "parallel mean {mean}");
-    }
-
-    #[test]
-    fn parallel_seed_changes_output() {
-        let (schema, t) = setup();
-        let e = Expr::col("x");
-        let a = monte_carlo_par(&e, &t, &schema, 512, 1, 2).unwrap();
-        let b = monte_carlo_par(&e, &t, &schema, 512, 2, 2).unwrap();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn default_threads_is_positive() {
-        assert!(default_threads() >= 1);
-    }
-
-    #[test]
-    fn default_threads_env_handling() {
-        // One test covers all AUSDB_THREADS cases sequentially — parallel
-        // test threads must not race on the process environment.
-        let saved = std::env::var("AUSDB_THREADS").ok();
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-        std::env::remove_var("AUSDB_THREADS");
-        assert_eq!(default_threads(), hw, "unset falls back to the machine");
-
-        std::env::set_var("AUSDB_THREADS", "3");
-        assert_eq!(default_threads(), 3, "a positive value is honored");
-
-        std::env::set_var("AUSDB_THREADS", "0");
-        assert_eq!(default_threads(), hw, "zero is rejected, not honored");
-
-        std::env::set_var("AUSDB_THREADS", "lots");
-        assert_eq!(default_threads(), hw, "garbage is rejected, not honored");
-
-        std::env::set_var("AUSDB_THREADS", "-2");
-        assert_eq!(default_threads(), hw, "negative values are rejected");
-
-        match saved {
-            Some(v) => std::env::set_var("AUSDB_THREADS", v),
-            None => std::env::remove_var("AUSDB_THREADS"),
-        }
     }
 }

@@ -265,8 +265,8 @@ impl OpMetrics {
 
     /// Runs `f` inside a child span named `name` when this operator is
     /// traced; plain call otherwise. The fast path is one relaxed load.
-    /// Only the executor thread opens spans (Monte-Carlo worker threads
-    /// never do), so parents are always open when children start.
+    /// A query runs on one thread, so parents are always open when
+    /// children start.
     pub fn with_span<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         if !self.traced.load(Ordering::Relaxed) {
             return f();

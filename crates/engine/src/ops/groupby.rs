@@ -21,15 +21,11 @@ use ausdb_model::schema::{Column, ColumnType, Schema};
 use ausdb_model::stream::{Batch, PoisonReason, StreamStatus, TupleStream};
 use ausdb_model::tuple::{Field, Tuple};
 use ausdb_model::value::Value;
-use ausdb_model::AttrDistribution;
 use rand::rngs::StdRng;
 
-use crate::accuracy::result_accuracy;
-use crate::bootstrap::bootstrap_accuracy_info;
 use crate::error::EngineError;
-use crate::mc::sample_distribution;
 use crate::obs::{self, OpMetrics};
-use crate::ops::AccuracyMode;
+use crate::ops::{aggregate_field, AccuracyMode};
 
 /// The aggregate function of a [`GroupBy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,51 +182,15 @@ impl<S: TupleStream> GroupBy<S> {
         for (i, (key, state)) in groups.into_iter().enumerate() {
             let agg_field = match self.kind {
                 GroupAggKind::Count => Field::plain(state.count as i64),
-                GroupAggKind::Sum | GroupAggKind::Avg => {
-                    let k = state.count as f64;
-                    let (mu, var) = match self.kind {
-                        GroupAggKind::Sum => (state.sum_mu, state.sum_var),
-                        GroupAggKind::Avg => (state.sum_mu / k, state.sum_var / (k * k)),
-                        GroupAggKind::Count => unreachable!("handled above"),
-                    };
-                    let dist = if var > 0.0 {
-                        AttrDistribution::gaussian(mu, var)?
-                    } else {
-                        AttrDistribution::Point(mu)
-                    };
-                    match state.min_n {
-                        None => Field::plain(dist),
-                        Some(df_n) => {
-                            let mut field = Field::learned(dist.clone(), df_n);
-                            match self.mode {
-                                AccuracyMode::None => {}
-                                AccuracyMode::Analytical { level } => {
-                                    let info = result_accuracy(&dist, df_n, level)?;
-                                    self.metrics.record_accuracy(&info);
-                                    field = field.with_accuracy(info);
-                                }
-                                AccuracyMode::Bootstrap { level, mc_values } => {
-                                    let metrics = Arc::clone(&self.metrics);
-                                    let (info, r) =
-                                        metrics.with_span("bootstrap_accuracy", || {
-                                            let v = sample_distribution(
-                                                &dist,
-                                                mc_values.max(2 * df_n),
-                                                &mut self.rng,
-                                            );
-                                            let r = (v.len() / df_n.max(1)) as u64;
-                                            bootstrap_accuracy_info(&v, df_n, level, None)
-                                                .map(|info| (info, r))
-                                        })?;
-                                    metrics.record_accuracy(&info);
-                                    metrics.record_resamples(r);
-                                    field = field.with_accuracy(info);
-                                }
-                            }
-                            field
-                        }
-                    }
-                }
+                GroupAggKind::Sum | GroupAggKind::Avg => aggregate_field(
+                    state.sum_mu,
+                    state.sum_var,
+                    (self.kind == GroupAggKind::Avg).then_some(state.count),
+                    state.min_n,
+                    self.mode,
+                    &mut self.rng,
+                    &self.metrics,
+                )?,
             };
             out.push(Tuple::certain(i as u64, vec![Field::plain(key.to_value()), agg_field]));
         }
@@ -288,6 +248,7 @@ impl<S: TupleStream> GroupBy<S> {
 mod tests {
     use super::*;
     use ausdb_model::stream::VecStream;
+    use ausdb_model::AttrDistribution;
 
     fn schema() -> Schema {
         Schema::new(vec![

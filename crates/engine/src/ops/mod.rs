@@ -5,6 +5,13 @@
 //! can attach accuracy information in one of three [`AccuracyMode`]s:
 //! none, analytical (Theorem 1), or bootstrap (`BOOTSTRAP-ACCURACY-INFO`).
 
+use ausdb_model::tuple::Field;
+use rand::rngs::StdRng;
+
+use crate::accuracy::{gaussian_or_point, result_field, ResultRv};
+use crate::error::EngineError;
+use crate::obs::OpMetrics;
+
 mod filter;
 mod groupby;
 mod join;
@@ -55,5 +62,30 @@ impl AccuracyMode {
                 Some(*level)
             }
         }
+    }
+}
+
+/// The result field of a closed-form aggregate over independent inputs, by
+/// moment propagation: `SUM ~ N(Σμᵢ, Σσᵢ²)`, and `AVG` over `k` inputs
+/// (`avg_over`) divides the mean by `k` and the variance by `k²`. `min_n`
+/// is the de-facto sample size (Lemma 3: the scarcest input); with no
+/// sampled input at all the result is exact and carries no accuracy.
+pub(crate) fn aggregate_field(
+    sum_mu: f64,
+    sum_var: f64,
+    avg_over: Option<usize>,
+    min_n: Option<usize>,
+    mode: AccuracyMode,
+    rng: &mut StdRng,
+    metrics: &OpMetrics,
+) -> Result<Field, EngineError> {
+    let (mu, var) = match avg_over {
+        Some(k) => (sum_mu / k as f64, sum_var / (k as f64 * k as f64)),
+        None => (sum_mu, sum_var),
+    };
+    let dist = gaussian_or_point(mu, var)?;
+    match min_n {
+        None => Ok(Field::plain(dist)),
+        Some(df_n) => result_field(ResultRv::ClosedForm(dist), df_n, mode, rng, metrics),
     }
 }

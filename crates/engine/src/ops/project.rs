@@ -6,15 +6,13 @@ use std::sync::Arc;
 use ausdb_model::schema::{Column, ColumnType, Schema};
 use ausdb_model::stream::{Batch, PoisonReason, StreamStatus, TupleStream};
 use ausdb_model::tuple::{Field, Tuple};
-use ausdb_model::AttrDistribution;
 use rand::rngs::StdRng;
 
-use crate::accuracy::result_accuracy;
-use crate::bootstrap::bootstrap_accuracy_info;
+use crate::accuracy::{gaussian_or_point, result_field, ResultRv};
 use crate::dfsample::df_sample_size;
 use crate::error::EngineError;
 use crate::expr::Expr;
-use crate::mc::{monte_carlo_batch, sample_distribution};
+use crate::mc::monte_carlo_batch;
 use crate::obs::{self, OpMetrics};
 use crate::ops::AccuracyMode;
 
@@ -119,7 +117,7 @@ impl<S: TupleStream> Project<S> {
                 self.mode,
                 self.mc_values,
                 &mut self.rng,
-                Some(&self.metrics),
+                &self.metrics,
             )?);
         }
         Ok(Tuple::with_membership(tuple.ts, fields, tuple.membership.clone()))
@@ -127,108 +125,40 @@ impl<S: TupleStream> Project<S> {
 }
 
 /// Projects one expression over one tuple (see [`Project`] for the
-/// strategy). Exposed within the crate so the window operator and the
-/// executor reuse the same logic; `metrics`, when given, receives the
-/// accuracy attribution (and traced callers get `bootstrap_accuracy` /
-/// `mc_eval` child spans).
-pub(crate) fn project_field(
+/// strategy). `metrics` receives the accuracy attribution, and a traced
+/// query gets `mc_eval` / `bootstrap_accuracy` child spans.
+fn project_field(
     expr: &Expr,
     tuple: &Tuple,
     in_schema: &Schema,
     mode: AccuracyMode,
     default_mc_values: usize,
     rng: &mut StdRng,
-    metrics: Option<&OpMetrics>,
+    metrics: &OpMetrics,
 ) -> Result<Field, EngineError> {
     // 1. Pass-through for bare columns.
     if let Expr::Column(name) = expr {
         return Ok(tuple.field(in_schema, name)?.clone());
     }
-    let df_n = df_sample_size(expr, tuple, in_schema)?;
     // 3. Fully deterministic expression.
-    let Some(df_n) = df_n else {
-        let v = expr.eval_scalar(tuple, in_schema)?;
-        return Ok(Field::plain(v));
+    let Some(df_n) = df_sample_size(expr, tuple, in_schema)? else {
+        return Ok(Field::plain(expr.eval_scalar(tuple, in_schema)?));
     };
     // 2. Gaussian closed form.
-    if let Some((mu, var)) = expr.eval_gaussian(tuple, in_schema)? {
-        let dist = if var > 0.0 {
-            AttrDistribution::gaussian(mu, var)?
-        } else {
-            AttrDistribution::Point(mu)
-        };
-        let mut field = Field::learned(dist.clone(), df_n);
-        match mode {
-            AccuracyMode::None => {}
-            AccuracyMode::Analytical { level } => {
-                let info = result_accuracy(&dist, df_n, level)?;
-                if let Some(m) = metrics {
-                    m.record_accuracy(&info);
-                }
-                field = field.with_accuracy(info);
-            }
-            AccuracyMode::Bootstrap { level, mc_values } => {
-                // Category 2 of Section III-B: sample the closed-form
-                // result distribution into a value sequence.
-                let compute = |rng: &mut StdRng| {
-                    let v = sample_distribution(&dist, mc_values.max(2 * df_n), rng);
-                    let r = (v.len() / df_n.max(1)) as u64;
-                    bootstrap_accuracy_info(&v, df_n, level, None).map(|info| (info, r))
-                };
-                let info = match metrics {
-                    Some(op) => {
-                        let (info, r) = op.with_span("bootstrap_accuracy", || compute(rng))?;
-                        op.record_accuracy(&info);
-                        op.record_resamples(r);
-                        info
-                    }
-                    None => compute(rng)?.0,
-                };
-                field = field.with_accuracy(info);
-            }
+    let result = if let Some((mu, var)) = expr.eval_gaussian(tuple, in_schema)? {
+        ResultRv::ClosedForm(gaussian_or_point(mu, var)?)
+    } else {
+        // 4. Monte Carlo.
+        let m = match mode {
+            AccuracyMode::Bootstrap { mc_values, .. } => mc_values,
+            _ => default_mc_values,
         }
-        return Ok(field);
-    }
-    // 4. Monte Carlo.
-    let m = match mode {
-        AccuracyMode::Bootstrap { mc_values, .. } => mc_values.max(2 * df_n),
-        _ => default_mc_values.max(2 * df_n),
+        .max(2 * df_n);
+        ResultRv::Drawn(
+            metrics.with_span("mc_eval", || monte_carlo_batch(expr, tuple, in_schema, m, rng))?,
+        )
     };
-    let values = match metrics {
-        Some(op) => {
-            op.with_span("mc_eval", || monte_carlo_batch(expr, tuple, in_schema, m, rng))?
-        }
-        None => monte_carlo_batch(expr, tuple, in_schema, m, rng)?,
-    };
-    let dist = AttrDistribution::empirical(values.clone())?;
-    let mut field = Field::learned(dist.clone(), df_n);
-    match mode {
-        AccuracyMode::None => {}
-        AccuracyMode::Analytical { level } => {
-            let info = result_accuracy(&dist, df_n, level)?;
-            if let Some(op) = metrics {
-                op.record_accuracy(&info);
-            }
-            field = field.with_accuracy(info);
-        }
-        AccuracyMode::Bootstrap { level, .. } => {
-            let compute = || {
-                let r = (values.len() / df_n.max(1)) as u64;
-                bootstrap_accuracy_info(&values, df_n, level, None).map(|info| (info, r))
-            };
-            let info = match metrics {
-                Some(op) => {
-                    let (info, r) = op.with_span("bootstrap_accuracy", compute)?;
-                    op.record_accuracy(&info);
-                    op.record_resamples(r);
-                    info
-                }
-                None => compute()?.0,
-            };
-            field = field.with_accuracy(info);
-        }
-    }
-    Ok(field)
+    result_field(result, df_n, mode, rng, metrics)
 }
 
 impl<S: TupleStream> TupleStream for Project<S> {
@@ -266,21 +196,13 @@ impl<S: TupleStream> Project<S> {
     }
 }
 
-/// Extracts the distribution from a projected field (test helper).
-#[cfg(test)]
-pub(crate) fn field_dist(field: &Field) -> Option<&AttrDistribution> {
-    match &field.value {
-        ausdb_model::value::Value::Dist(d) => Some(d),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{BinOp, UnaryOp};
     use ausdb_model::stream::VecStream;
     use ausdb_model::value::Value;
+    use ausdb_model::AttrDistribution;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -327,7 +249,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         let f = &out[0].fields[0];
         assert_eq!(f.sample_size, Some(10), "Lemma 3: min(15, 10)");
-        let d = field_dist(f).unwrap();
+        let d = f.value.as_dist().unwrap();
         assert!((d.mean() - 15.0).abs() < 1e-12);
         assert!((d.variance() - 3.25).abs() < 1e-12);
         let info = f.accuracy.as_ref().unwrap();
@@ -365,7 +287,7 @@ mod tests {
         .unwrap();
         let out = p.collect_all();
         let f = &out[0].fields[0];
-        let d = field_dist(f).unwrap();
+        let d = f.value.as_dist().unwrap();
         assert!(d.raw_sample().is_some(), "MC path retains the value sequence");
         // E[sqrt(|ab|)] ≈ sqrt(200) modulo Jensen effects; just sanity-band it.
         assert!(d.mean() > 10.0 && d.mean() < 16.0, "mean {}", d.mean());

@@ -11,44 +11,50 @@
 //! out-of-order tuple poisons the stream, which then terminates).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use ausdb_model::schema::{Column, ColumnType, Schema};
-use ausdb_model::stream::{Batch, PoisonReason, StreamStatus, TupleStream};
-use ausdb_model::tuple::{Field, Tuple};
-use ausdb_model::value::Value;
-use ausdb_model::AttrDistribution;
-use rand::rngs::StdRng;
+use ausdb_model::stream::TupleStream;
 
-use crate::accuracy::result_accuracy;
-use crate::bootstrap::bootstrap_accuracy_info;
 use crate::error::EngineError;
-use crate::mc::sample_distribution;
-use crate::obs::{self, OpMetrics};
+use crate::ops::window::{Entry, Frame, SlidingAgg};
 use crate::ops::{AccuracyMode, WindowAggKind};
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    ts: u64,
-    mu: f64,
-    sigma2: f64,
-    n: usize,
+/// Time-based frame: the tuples in `(ts − width, ts]`, summed afresh in
+/// window order on every arrival.
+pub struct TimeFrame {
+    width: u64,
+    min_tuples: usize,
+    last_ts: Option<u64>,
+}
+
+impl Frame for TimeFrame {
+    const OPERATOR: &'static str = "TimeWindowAgg";
+    const NOUN: &'static str = "time window";
+
+    fn admit(
+        &mut self,
+        ts: u64,
+        read: impl FnOnce() -> Result<Entry, EngineError>,
+        window: &mut VecDeque<Entry>,
+    ) -> Result<Option<(f64, f64)>, EngineError> {
+        if let Some(last) = self.last_ts {
+            if ts < last {
+                return Err(EngineError::Eval(format!("out-of-order timestamp {ts} after {last}")));
+            }
+        }
+        self.last_ts = Some(ts);
+        window.push_back(read()?);
+        // Evict entries older than the trailing window (ts − width, ts].
+        let cutoff = ts.saturating_sub(self.width - 1);
+        while window.front().map(|e| e.ts < cutoff).unwrap_or(false) {
+            window.pop_front();
+        }
+        Ok((window.len() >= self.min_tuples)
+            .then(|| (window.iter().map(|e| e.mu).sum(), window.iter().map(|e| e.sigma2).sum())))
+    }
 }
 
 /// Time-based sliding-window AVG/SUM over a Gaussian (or point) column.
-pub struct TimeWindowAgg<S> {
-    input: S,
-    column: String,
-    kind: WindowAggKind,
-    width: u64,
-    min_tuples: usize,
-    mode: AccuracyMode,
-    schema: Schema,
-    window: VecDeque<Entry>,
-    last_ts: Option<u64>,
-    rng: StdRng,
-    metrics: Arc<OpMetrics>,
-}
+pub type TimeWindowAgg<S> = SlidingAgg<S, TimeFrame>;
 
 impl<S: TupleStream> TimeWindowAgg<S> {
     /// Creates the operator: aggregate `column` over a trailing window of
@@ -66,171 +72,18 @@ impl<S: TupleStream> TimeWindowAgg<S> {
         if width == 0 {
             return Err(EngineError::InvalidQuery("window width must be positive".into()));
         }
-        let column = column.into();
-        input.schema().index_of(&column)?;
-        let name = match kind {
-            WindowAggKind::Avg => format!("avg_{column}"),
-            WindowAggKind::Sum => format!("sum_{column}"),
-        };
-        let schema = Schema::new(vec![Column::new(name, ColumnType::Dist)])?;
-        Ok(Self {
-            input,
-            column,
-            kind,
-            width,
-            min_tuples: min_tuples.max(1),
-            mode,
-            schema,
-            window: VecDeque::new(),
-            last_ts: None,
-            rng: ausdb_stats::rng::seeded(seed),
-            metrics: OpMetrics::new("TimeWindowAgg"),
-        })
-    }
-
-    /// This operator's metrics handle (clone before boxing the stream to
-    /// keep the counters reachable).
-    pub fn metrics(&self) -> Arc<OpMetrics> {
-        self.metrics.clone()
-    }
-
-    fn push_tuple(
-        &mut self,
-        tuple: &Tuple,
-        in_schema: &Schema,
-    ) -> Result<Option<Tuple>, EngineError> {
-        if let Some(last) = self.last_ts {
-            if tuple.ts < last {
-                return Err(EngineError::Eval(format!(
-                    "out-of-order timestamp {} after {last}",
-                    tuple.ts
-                )));
-            }
-        }
-        self.last_ts = Some(tuple.ts);
-        let field = tuple.field(in_schema, &self.column)?;
-        let (mu, sigma2, n) = match &field.value {
-            Value::Dist(AttrDistribution::Gaussian { mu, sigma2 }) => {
-                let n = field.sample_size.ok_or_else(|| {
-                    EngineError::NoAccuracyInfo(format!(
-                        "window input '{}' lacks sample-size provenance",
-                        self.column
-                    ))
-                })?;
-                (*mu, *sigma2, n)
-            }
-            Value::Dist(AttrDistribution::Point(v)) => (*v, 0.0, usize::MAX),
-            Value::Float(v) => (*v, 0.0, usize::MAX),
-            Value::Int(v) => (*v as f64, 0.0, usize::MAX),
-            other => {
-                return Err(EngineError::Eval(format!(
-                    "time window requires Gaussian or scalar input, found {}",
-                    other.type_name()
-                )))
-            }
-        };
-        self.window.push_back(Entry { ts: tuple.ts, mu, sigma2, n });
-        // Evict entries older than the trailing window (ts − width, ts].
-        let cutoff = tuple.ts.saturating_sub(self.width - 1);
-        while self.window.front().map(|e| e.ts < cutoff).unwrap_or(false) {
-            self.window.pop_front();
-        }
-        if self.window.len() < self.min_tuples {
-            return Ok(None);
-        }
-        let k = self.window.len() as f64;
-        let sum_mu: f64 = self.window.iter().map(|e| e.mu).sum();
-        let sum_var: f64 = self.window.iter().map(|e| e.sigma2).sum();
-        let (mu_out, var_out) = match self.kind {
-            WindowAggKind::Avg => (sum_mu / k, sum_var / (k * k)),
-            WindowAggKind::Sum => (sum_mu, sum_var),
-        };
-        let df_n = self.window.iter().map(|e| e.n).min().expect("nonempty window");
-        let dist = if var_out > 0.0 {
-            AttrDistribution::gaussian(mu_out, var_out)?
-        } else {
-            AttrDistribution::Point(mu_out)
-        };
-        let mut field = if df_n == usize::MAX {
-            Field::plain(dist.clone())
-        } else {
-            Field::learned(dist.clone(), df_n)
-        };
-        if df_n != usize::MAX {
-            match self.mode {
-                AccuracyMode::None => {}
-                AccuracyMode::Analytical { level } => {
-                    let info = result_accuracy(&dist, df_n, level)?;
-                    self.metrics.record_accuracy(&info);
-                    field = field.with_accuracy(info);
-                }
-                AccuracyMode::Bootstrap { level, mc_values } => {
-                    let metrics = Arc::clone(&self.metrics);
-                    let (info, r) = metrics.with_span("bootstrap_accuracy", || {
-                        let v = sample_distribution(&dist, mc_values.max(2 * df_n), &mut self.rng);
-                        let r = (v.len() / df_n.max(1)) as u64;
-                        bootstrap_accuracy_info(&v, df_n, level, None).map(|info| (info, r))
-                    })?;
-                    metrics.record_accuracy(&info);
-                    metrics.record_resamples(r);
-                    field = field.with_accuracy(info);
-                }
-            }
-        }
-        Ok(Some(Tuple::with_membership(tuple.ts, vec![field], tuple.membership.clone())))
-    }
-}
-
-impl<S: TupleStream> TupleStream for TimeWindowAgg<S> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        obs::timed(&metrics, || self.next_batch_inner())
-    }
-
-    fn status(&self) -> StreamStatus {
-        self.metrics.status().combine(self.input.status())
-    }
-}
-
-impl<S: TupleStream> TimeWindowAgg<S> {
-    fn next_batch_inner(&mut self) -> Option<Batch> {
-        if !self.metrics.status().is_ok() {
-            return None;
-        }
-        loop {
-            let batch = self.input.next_batch()?;
-            self.metrics.record_batch(batch.len());
-            let in_schema = self.input.schema().clone();
-            let mut out = Vec::with_capacity(batch.len());
-            for tuple in &batch {
-                match self.push_tuple(tuple, &in_schema) {
-                    Ok(Some(t)) => out.push(t),
-                    Ok(None) => {}
-                    Err(e) => {
-                        // Poison with the cause retained (previously the
-                        // error was discarded here).
-                        self.metrics.poison(PoisonReason::new("TimeWindowAgg", e));
-                        self.metrics.record_out(out.len());
-                        return if out.is_empty() { None } else { Some(out) };
-                    }
-                }
-            }
-            if !out.is_empty() {
-                self.metrics.record_out(out.len());
-                return Some(out);
-            }
-        }
+        let frame = TimeFrame { width, min_tuples: min_tuples.max(1), last_ts: None };
+        Self::with_frame(input, column.into(), kind, frame, mode, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ausdb_model::schema::{Column, ColumnType, Schema};
     use ausdb_model::stream::VecStream;
+    use ausdb_model::tuple::{Field, Tuple};
+    use ausdb_model::AttrDistribution;
 
     fn schema() -> Schema {
         Schema::new(vec![Column::new("x", ColumnType::Dist)]).unwrap()

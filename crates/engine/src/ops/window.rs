@@ -1,4 +1,5 @@
-//! Count-based sliding-window aggregation over Gaussian attributes.
+//! Sliding-window aggregation over Gaussian attributes: the operator both
+//! window kinds share ([`SlidingAgg`]) and the count-based [`Frame`].
 //!
 //! This is the operator of the paper's throughput experiments (Section
 //! V-C): "a simple count-based sliding window AVG query with a window size
@@ -15,17 +16,14 @@ use std::sync::Arc;
 
 use ausdb_model::schema::{Column, ColumnType, Schema};
 use ausdb_model::stream::{Batch, PoisonReason, StreamStatus, TupleStream};
-use ausdb_model::tuple::{Field, Tuple};
+use ausdb_model::tuple::Tuple;
 use ausdb_model::value::Value;
 use ausdb_model::AttrDistribution;
 use rand::rngs::StdRng;
 
-use crate::accuracy::result_accuracy;
-use crate::bootstrap::bootstrap_accuracy_info;
 use crate::error::EngineError;
-use crate::mc::sample_distribution;
 use crate::obs::{self, OpMetrics};
-use crate::ops::AccuracyMode;
+use crate::ops::{aggregate_field, AccuracyMode};
 
 /// The aggregate function of a [`WindowAgg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,31 +34,85 @@ pub enum WindowAggKind {
     Sum,
 }
 
-/// One window entry: the Gaussian parameters and provenance of one input.
+/// One window entry: the Gaussian parameters and provenance of one input
+/// (`n` is `None` for a scalar or point input, which bounds no sample size).
 #[derive(Debug, Clone, Copy)]
-struct Entry {
-    mu: f64,
-    sigma2: f64,
-    n: usize,
+pub struct Entry {
+    pub ts: u64,
+    pub mu: f64,
+    pub sigma2: f64,
+    pub n: Option<usize>,
 }
 
-/// Count-based sliding-window AVG/SUM over a Gaussian (or point) column.
+/// The part of a sliding-window aggregate that differs between the count-
+/// and the time-based operator: which entries a window holds and in what
+/// order their moments are summed (the result bits depend on both).
+pub trait Frame {
+    /// Operator name in metrics, spans and poison reasons.
+    const OPERATOR: &'static str;
+    /// How an input-type error names the operator.
+    const NOUN: &'static str;
+
+    /// Admits the tuple at `ts` — `read` yields its entry, and fails on an
+    /// input the aggregate cannot take — evicts what left the window, and
+    /// returns `(Σμᵢ, Σσᵢ²)` over the window once it should emit.
+    fn admit(
+        &mut self,
+        ts: u64,
+        read: impl FnOnce() -> Result<Entry, EngineError>,
+        window: &mut VecDeque<Entry>,
+    ) -> Result<Option<(f64, f64)>, EngineError>;
+}
+
+/// Count-based frame: the last `size` tuples, with running sums.
+pub struct CountFrame {
+    size: usize,
+    sum_mu: f64,
+    sum_var: f64,
+}
+
+impl Frame for CountFrame {
+    const OPERATOR: &'static str = "WindowAgg";
+    const NOUN: &'static str = "window aggregate";
+
+    fn admit(
+        &mut self,
+        _ts: u64,
+        read: impl FnOnce() -> Result<Entry, EngineError>,
+        window: &mut VecDeque<Entry>,
+    ) -> Result<Option<(f64, f64)>, EngineError> {
+        let entry = read()?;
+        window.push_back(entry);
+        self.sum_mu += entry.mu;
+        self.sum_var += entry.sigma2;
+        if window.len() > self.size {
+            let old = window.pop_front().expect("window nonempty");
+            self.sum_mu -= old.mu;
+            self.sum_var -= old.sigma2;
+        }
+        Ok((window.len() == self.size).then_some((self.sum_mu, self.sum_var)))
+    }
+}
+
+/// Sliding-window AVG/SUM over a Gaussian (or point) column; the [`Frame`]
+/// decides what the window holds.
 ///
 /// Emits one output tuple per input tuple once the window is full. Output
 /// schema: `(value DIST)` named after the aggregate.
-pub struct WindowAgg<S> {
+pub struct SlidingAgg<S, F> {
     input: S,
     column: String,
     kind: WindowAggKind,
-    window_size: usize,
+    frame: F,
     mode: AccuracyMode,
     schema: Schema,
     window: VecDeque<Entry>,
-    sum_mu: f64,
-    sum_var: f64,
     rng: StdRng,
     metrics: Arc<OpMetrics>,
 }
+
+/// Count-based sliding-window AVG/SUM (the paper's form).
+pub type WindowAgg<S> = SlidingAgg<S, CountFrame>;
 
 impl<S: TupleStream> WindowAgg<S> {
     /// Creates the operator over `column` of the input stream.
@@ -75,7 +127,20 @@ impl<S: TupleStream> WindowAgg<S> {
         if window_size == 0 {
             return Err(EngineError::InvalidQuery("window size must be positive".into()));
         }
-        let column = column.into();
+        let frame = CountFrame { size: window_size, sum_mu: 0.0, sum_var: 0.0 };
+        Self::with_frame(input, column.into(), kind, frame, mode, seed)
+    }
+}
+
+impl<S: TupleStream, F: Frame> SlidingAgg<S, F> {
+    pub(super) fn with_frame(
+        input: S,
+        column: String,
+        kind: WindowAggKind,
+        frame: F,
+        mode: AccuracyMode,
+        seed: u64,
+    ) -> Result<Self, EngineError> {
         input.schema().index_of(&column)?; // validate at plan time
         let name = match kind {
             WindowAggKind::Avg => format!("avg_{column}"),
@@ -86,14 +151,12 @@ impl<S: TupleStream> WindowAgg<S> {
             input,
             column,
             kind,
-            window_size,
+            frame,
             mode,
             schema,
-            window: VecDeque::with_capacity(window_size + 1),
-            sum_mu: 0.0,
-            sum_var: 0.0,
+            window: VecDeque::new(),
             rng: ausdb_stats::rng::seeded(seed),
-            metrics: OpMetrics::new("WindowAgg"),
+            metrics: OpMetrics::new(F::OPERATOR),
         })
     }
 
@@ -103,101 +166,55 @@ impl<S: TupleStream> WindowAgg<S> {
         self.metrics.clone()
     }
 
+    /// Reads the aggregated column of `tuple` as Gaussian moments.
+    fn read_entry(column: &str, tuple: &Tuple, in_schema: &Schema) -> Result<Entry, EngineError> {
+        let field = tuple.field(in_schema, column)?;
+        let (mu, sigma2, n) = match &field.value {
+            Value::Dist(AttrDistribution::Gaussian { mu, sigma2 }) => {
+                let n = field.sample_size.ok_or_else(|| {
+                    EngineError::NoAccuracyInfo(format!(
+                        "window input '{column}' lacks sample-size provenance"
+                    ))
+                })?;
+                (*mu, *sigma2, Some(n))
+            }
+            Value::Dist(AttrDistribution::Point(v)) => (*v, 0.0, None),
+            Value::Float(v) => (*v, 0.0, None),
+            Value::Int(v) => (*v as f64, 0.0, None),
+            other => {
+                return Err(EngineError::Eval(format!(
+                    "{} requires Gaussian or scalar input, found {}",
+                    F::NOUN,
+                    other.type_name()
+                )))
+            }
+        };
+        Ok(Entry { ts: tuple.ts, mu, sigma2, n })
+    }
+
     fn push_tuple(
         &mut self,
         tuple: &Tuple,
         in_schema: &Schema,
     ) -> Result<Option<Tuple>, EngineError> {
-        let field = tuple.field(in_schema, &self.column)?;
-        let (mu, sigma2, n) = match &field.value {
-            Value::Dist(AttrDistribution::Gaussian { mu, sigma2 }) => {
-                let n = field.sample_size.ok_or_else(|| {
-                    EngineError::NoAccuracyInfo(format!(
-                        "window input '{}' lacks sample-size provenance",
-                        self.column
-                    ))
-                })?;
-                (*mu, *sigma2, n)
-            }
-            Value::Dist(AttrDistribution::Point(v)) => (*v, 0.0, usize::MAX),
-            Value::Float(v) => (*v, 0.0, usize::MAX),
-            Value::Int(v) => (*v as f64, 0.0, usize::MAX),
-            other => {
-                return Err(EngineError::Eval(format!(
-                    "window aggregate requires Gaussian or scalar input, found {}",
-                    other.type_name()
-                )))
-            }
-        };
-        self.window.push_back(Entry { mu, sigma2, n });
-        self.sum_mu += mu;
-        self.sum_var += sigma2;
-        if self.window.len() > self.window_size {
-            let old = self.window.pop_front().expect("window nonempty");
-            self.sum_mu -= old.mu;
-            self.sum_var -= old.sigma2;
-        }
-        if self.window.len() < self.window_size {
+        let read = || Self::read_entry(&self.column, tuple, in_schema);
+        let Some((sum_mu, sum_var)) = self.frame.admit(tuple.ts, read, &mut self.window)? else {
             return Ok(None);
-        }
-        // Closed-form result Gaussian.
-        let w = self.window_size as f64;
-        let (mu_out, var_out) = match self.kind {
-            WindowAggKind::Avg => (self.sum_mu / w, self.sum_var / (w * w)),
-            WindowAggKind::Sum => (self.sum_mu, self.sum_var),
         };
-        let df_n = self.window.iter().map(|e| e.n).min().expect("window nonempty");
-        let dist = if var_out > 0.0 {
-            AttrDistribution::gaussian(mu_out, var_out)?
-        } else {
-            AttrDistribution::Point(mu_out)
-        };
-        let mut field = if df_n == usize::MAX {
-            Field::plain(dist.clone())
-        } else {
-            Field::learned(dist.clone(), df_n)
-        };
-        if df_n != usize::MAX {
-            match self.mode {
-                AccuracyMode::None => {}
-                AccuracyMode::Analytical { level } => {
-                    let info = result_accuracy(&dist, df_n, level)?;
-                    self.metrics.record_accuracy(&info);
-                    field = field.with_accuracy(info);
-                }
-                AccuracyMode::Bootstrap { level, mc_values } => {
-                    let metrics = Arc::clone(&self.metrics);
-                    let (info, r) = metrics.with_span("bootstrap_accuracy", || {
-                        let v = sample_distribution(&dist, mc_values.max(2 * df_n), &mut self.rng);
-                        let r = (v.len() / df_n.max(1)) as u64;
-                        bootstrap_accuracy_info(&v, df_n, level, None).map(|info| (info, r))
-                    })?;
-                    metrics.record_accuracy(&info);
-                    metrics.record_resamples(r);
-                    field = field.with_accuracy(info);
-                }
-            }
-        }
+        // Lemma 3: the scarcest input bounds the de-facto sample size.
+        let min_n = self.window.iter().filter_map(|e| e.n).min();
+        let field = aggregate_field(
+            sum_mu,
+            sum_var,
+            (self.kind == WindowAggKind::Avg).then_some(self.window.len()),
+            min_n,
+            self.mode,
+            &mut self.rng,
+            &self.metrics,
+        )?;
         Ok(Some(Tuple::with_membership(tuple.ts, vec![field], tuple.membership.clone())))
     }
-}
 
-impl<S: TupleStream> TupleStream for WindowAgg<S> {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> Option<Batch> {
-        let metrics = self.metrics.clone();
-        obs::timed(&metrics, || self.next_batch_inner())
-    }
-
-    fn status(&self) -> StreamStatus {
-        self.metrics.status().combine(self.input.status())
-    }
-}
-
-impl<S: TupleStream> WindowAgg<S> {
     fn next_batch_inner(&mut self) -> Option<Batch> {
         if !self.metrics.status().is_ok() {
             return None;
@@ -215,7 +232,7 @@ impl<S: TupleStream> WindowAgg<S> {
                         // Poisoned input: stop the stream rather than emit
                         // aggregates with broken provenance — but retain
                         // the cause so downstream can surface it.
-                        self.metrics.poison(PoisonReason::new("WindowAgg", e));
+                        self.metrics.poison(PoisonReason::new(F::OPERATOR, e));
                         self.metrics.record_out(out.len());
                         return if out.is_empty() { None } else { Some(out) };
                     }
@@ -229,10 +246,26 @@ impl<S: TupleStream> WindowAgg<S> {
     }
 }
 
+impl<S: TupleStream, F: Frame> TupleStream for SlidingAgg<S, F> {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn next_batch(&mut self) -> Option<Batch> {
+        let metrics = self.metrics.clone();
+        obs::timed(&metrics, || self.next_batch_inner())
+    }
+
+    fn status(&self) -> StreamStatus {
+        self.metrics.status().combine(self.input.status())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ausdb_model::stream::VecStream;
+    use ausdb_model::tuple::Field;
 
     fn schema() -> Schema {
         Schema::new(vec![Column::new("x", ColumnType::Dist)]).unwrap()

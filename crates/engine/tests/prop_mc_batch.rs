@@ -1,12 +1,9 @@
-//! Property tests for the batched / parallel Monte-Carlo pipeline:
-//!
-//! * `monte_carlo_batch` is statistically equivalent to the per-draw
-//!   reference `monte_carlo` for every attribute-distribution kind;
-//! * `monte_carlo_par` is **bit-identical** across thread counts 1/2/8
-//!   under a fixed seed, again for every distribution kind.
+//! Property test for the batched Monte-Carlo pipeline: `monte_carlo_batch`
+//! is statistically equivalent to the per-draw reference `monte_carlo` for
+//! every attribute-distribution kind.
 
 use ausdb_engine::expr::{BinOp, Expr, UnaryOp};
-use ausdb_engine::mc::{monte_carlo, monte_carlo_batch, monte_carlo_par};
+use ausdb_engine::mc::{monte_carlo, monte_carlo_batch};
 use ausdb_model::schema::{Column, ColumnType, Schema};
 use ausdb_model::tuple::{Field, Tuple};
 use ausdb_model::AttrDistribution;
@@ -90,50 +87,6 @@ proptest! {
         prop_assert!(
             (mr - mb).abs() <= 6.0 * se + 1e-9,
             "kinds ({kx},{ky}): reference mean {mr} vs batch mean {mb} (se {se})"
-        );
-    }
-
-    #[test]
-    fn parallel_bit_identical_for_thread_counts(
-        kx in 0usize..5,
-        ky in 0usize..5,
-        a in -20.0..=20.0f64,
-        spread in 0.1..=4.0f64,
-        seed in 0u64..1_000_000,
-        m in 1usize..5000,
-    ) {
-        let (schema, tuple) = setup(kx, ky, a, spread);
-        let e = workload_expr();
-        let serial = monte_carlo_par(&e, &tuple, &schema, m, seed, 1).unwrap();
-        for threads in [2usize, 8] {
-            let par = monte_carlo_par(&e, &tuple, &schema, m, seed, threads).unwrap();
-            prop_assert_eq!(&serial, &par, "threads {}", threads);
-        }
-    }
-
-    #[test]
-    fn parallel_statistically_equivalent_to_batch(
-        kx in 0usize..5,
-        a in -5.0..=5.0f64,
-        spread in 0.1..=2.0f64,
-        seed in 0u64..1_000_000,
-    ) {
-        // The chunked parallel path must sample the same distribution the
-        // single-RNG batch path does.
-        let (schema, tuple) = setup(kx, kx, a, spread);
-        let e = Expr::bin(BinOp::Add, Expr::col("x"), Expr::col("y"));
-        let m = 6000;
-        let batch = monte_carlo_batch(&e, &tuple, &schema, m, &mut seeded(seed)).unwrap();
-        let par = monte_carlo_par(&e, &tuple, &schema, m, seed.wrapping_add(1), 4).unwrap();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let var = |v: &[f64], mu: f64| {
-            v.iter().map(|x| (x - mu) * (x - mu)).sum::<f64>() / (v.len() as f64 - 1.0)
-        };
-        let (mb, mp) = (mean(&batch), mean(&par));
-        let se = ((var(&batch, mb) + var(&par, mp)) / m as f64).sqrt();
-        prop_assert!(
-            (mb - mp).abs() <= 6.0 * se + 1e-9,
-            "kind {kx}: batch mean {mb} vs parallel mean {mp} (se {se})"
         );
     }
 }

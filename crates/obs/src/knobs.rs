@@ -3,12 +3,11 @@
 //! Every execution knob the system reads from the environment goes
 //! through one [`Knob`] per variable, so an invalid value produces
 //! exactly one `warning:` line on stderr (then the fallback applies)
-//! instead of being silently ignored — a typo in `AUSDB_THREADS=8x`
+//! instead of being silently ignored — a typo in `AUSDB_TRACE_CAP=8x`
 //! should be visible, not mysterious.
 //!
 //! | Variable          | Meaning                                   | Default |
 //! |-------------------|-------------------------------------------|---------|
-//! | `AUSDB_THREADS`   | worker count for parallel MC/bootstrap    | machine parallelism |
 //! | `AUSDB_OBS_TIMING`| per-operator wall-clock timing            | off |
 //! | `AUSDB_LOG`       | trace-journal severity cutoff             | `info` |
 //! | `AUSDB_TELEMETRY` | optional telemetry recording master switch| on |
@@ -78,16 +77,6 @@ pub fn parse_flag(value: Option<&str>) -> bool {
         None => false,
         Some(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "" | "0" | "false" | "off"),
     }
-}
-
-/// `AUSDB_THREADS`: worker count for the parallel Monte-Carlo and
-/// bootstrap paths. Re-read on every call (tests and long-running
-/// processes may change it); invalid or non-positive values warn once
-/// and fall back to the machine's available parallelism.
-pub fn threads() -> usize {
-    static KNOB: Knob = Knob::new("AUSDB_THREADS");
-    let fallback = std::thread::available_parallelism().map_or(1, |n| n.get());
-    KNOB.from_env(|s| s.trim().parse::<usize>().ok().filter(|&n| n > 0), fallback)
 }
 
 /// `AUSDB_OBS_TIMING`: per-operator wall-clock timing (off by default;
@@ -241,11 +230,6 @@ mod tests {
         assert!(parse_flag(Some("1")));
         assert!(parse_flag(Some("true")));
         assert!(parse_flag(Some("nanos")));
-    }
-
-    #[test]
-    fn threads_is_positive() {
-        assert!(threads() >= 1);
     }
 
     #[test]

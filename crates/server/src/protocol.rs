@@ -274,40 +274,70 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "SHUTDOWN" => bare(Request::Shutdown),
         "PING" => bare(Request::Ping),
         "" => Err("empty request".to_string()),
-        other => Err(format!(
-            "unknown command '{other}' (try HELP, or: INGEST, INGESTB, QUERY, SUBSCRIBE, \
-             UNSUBSCRIBE, STATS, METRICS, TRACE, TRACEX, SNAPSHOT, RESTORE, WALSTAT, REPLICATE, \
-             PROMOTE, HEALTH, SLO, HISTORY, HELP, PING, SHUTDOWN)"
-        )),
+        other => {
+            let names: Vec<&str> = VERBS.iter().map(|(name, _)| *name).collect();
+            Err(format!("unknown command '{other}' (try HELP, or: {})", names.join(", ")))
+        }
     }
 }
 
-/// One usage line per protocol verb, served by `HELP`.
-pub fn help_lines() -> &'static [&'static str] {
-    &[
+/// Every verb [`parse_request`] accepts, with its usage line: the one list
+/// behind `HELP` and the unknown-command hint.
+const VERBS: &[(&str, &str)] = &[
+    (
+        "INGEST",
         "INGEST <stream> <key,ts,value> — feed one raw observation (ts: integer or H:MM[:SS])",
+    ),
+    (
+        "INGESTB",
         "INGESTB <stream> <nbytes> — binary batch ingest: an AUSB frame of nbytes follows; \
          one OK per frame",
+    ),
+    (
+        "QUERY",
         "QUERY <sql> — one-shot query (SCHEMA/ROW/END); EXPLAIN [ANALYZE] <sql> returns PLAN lines",
+    ),
+    (
+        "SUBSCRIBE",
         "SUBSCRIBE <sql> — standing query re-evaluated per closed window (EVENT/ROW lines)",
-        "UNSUBSCRIBE <id> — cancel a subscription owned by this connection",
-        "STATS — server counters plus the last query's operator stats",
-        "METRICS — Prometheus text exposition of all metric families",
-        "TRACE [<n>] — the last n trace-journal entries (default 20)",
-        "TRACEX — Chrome trace-event JSON of recently traced queries (chrome://tracing)",
-        "SNAPSHOT — persist engine state to the configured snapshot path",
-        "RESTORE — reload engine state from the configured snapshot path",
+    ),
+    ("UNSUBSCRIBE", "UNSUBSCRIBE <id> — cancel a subscription owned by this connection"),
+    ("STATS", "STATS — server counters plus the last query's operator stats"),
+    ("METRICS", "METRICS — Prometheus text exposition of all metric families"),
+    ("TRACE", "TRACE [<n>] — the last n trace-journal entries (default 20)"),
+    ("TRACEX", "TRACEX — Chrome trace-event JSON of recently traced queries (chrome://tracing)"),
+    ("SNAPSHOT", "SNAPSHOT — persist engine state to the configured snapshot path"),
+    ("RESTORE", "RESTORE — reload engine state from the configured snapshot path"),
+    (
+        "WALSTAT",
         "WALSTAT — durability status: role, WAL segments/bytes/unsynced/seqs, fsync policy, lag",
+    ),
+    (
+        "REPLICATE",
         "REPLICATE <from_seq> — stream snapshot + WAL records after from_seq (follower catch-up)",
-        "PROMOTE — turn a read-only follower into a writable primary",
+    ),
+    ("PROMOTE", "PROMOTE — turn a read-only follower into a writable primary"),
+    (
+        "HEALTH",
         "HEALTH — role, readiness, uptime, per-stream watermark age, WAL/replication lag, backlog",
+    ),
+    (
+        "SLO",
         "SLO SET <query-id> <max-ci-width> | SLO LIST — accuracy-SLO watchdog on standing queries",
+    ),
+    (
+        "HISTORY",
         "HISTORY [EXPORT | <series> [LAST <dur>] [STEP <dur>]] — retained metric/accuracy history \
          (SERIES or POINT lines; EXPORT dumps consolidated JSON)",
-        "HELP — this listing",
-        "PING — liveness check",
-        "SHUTDOWN — gracefully stop the server",
-    ]
+    ),
+    ("HELP", "HELP — this listing"),
+    ("PING", "PING — liveness check"),
+    ("SHUTDOWN", "SHUTDOWN — gracefully stop the server"),
+];
+
+/// One usage line per protocol verb, served by `HELP`.
+pub fn help_lines() -> impl Iterator<Item = &'static str> {
+    VERBS.iter().map(|(_, usage)| *usage)
 }
 
 #[cfg(test)]
@@ -380,44 +410,18 @@ mod tests {
 
     #[test]
     fn help_covers_every_verb() {
-        // Every verb `parse_request` accepts must have exactly one usage
-        // line, so HELP can never drift behind the parser.
-        let verbs = [
-            "INGEST",
-            "INGESTB",
-            "QUERY",
-            "SUBSCRIBE",
-            "UNSUBSCRIBE",
-            "STATS",
-            "METRICS",
-            "TRACE",
-            "TRACEX",
-            "SNAPSHOT",
-            "RESTORE",
-            "WALSTAT",
-            "REPLICATE",
-            "PROMOTE",
-            "HEALTH",
-            "SLO",
-            "HISTORY",
-            "HELP",
-            "PING",
-            "SHUTDOWN",
-        ];
-        let lines = help_lines();
-        assert_eq!(lines.len(), verbs.len());
-        // The unknown-command hint must name every verb as well.
+        // HELP and the unknown-command hint are the table; the parser must
+        // know every name in it, and each usage line must lead with its verb.
+        assert_eq!(VERBS.len(), 20);
+        for (verb, usage) in VERBS {
+            assert_eq!(usage.split(' ').next(), Some(*verb), "usage line of {verb}");
+            if let Err(e) = parse_request(verb) {
+                assert!(!e.starts_with("unknown command"), "{verb} is not parsed: {e}");
+            }
+        }
         let hint = parse_request("FROBNICATE").unwrap_err();
-        for verb in verbs {
-            assert!(hint.contains(verb), "unknown-command hint omits {verb}");
-        }
-        for verb in verbs {
-            assert_eq!(
-                lines.iter().filter(|l| l.split([' ', '\u{a0}']).next() == Some(verb)).count(),
-                1,
-                "exactly one HELP line for {verb}"
-            );
-        }
+        assert!(hint.starts_with("unknown command 'FROBNICATE' (try HELP, or: INGEST, INGESTB, "));
+        assert!(hint.ends_with(", HELP, PING, SHUTDOWN)"), "{hint}");
     }
 
     #[test]

@@ -979,7 +979,7 @@ fn handle_request(request: Request, shared: &Shared, conn: &Conn) -> Reply {
             }
         }
         Request::HistoryExport => Reply::lines(shared.history.export_json().lines().chain(["END"])),
-        Request::Help => Reply::lines(help_lines().iter().copied().chain(["END"])),
+        Request::Help => Reply::lines(help_lines().chain(["END"])),
         Request::Snapshot => match &shared.snapshot_path {
             None => Reply::err("no snapshot path configured (start with --snapshot-path)"),
             Some(path) => {

@@ -41,7 +41,7 @@ use ausdb_model::tuple::Tuple;
 use ausdb_obs::hist::log_linear_bounds;
 use ausdb_obs::{journal, AccuracyPoint, Counter, Gauge, Histogram, Level, Registry, SeriesStore};
 use ausdb_sql::parser::parse;
-use ausdb_sql::planner::{run_sql, run_statement_with_stats, SqlOutput};
+use ausdb_sql::planner::{plan, run_sql, run_statement_with_stats, SqlOutput};
 
 use crate::numtext::push_u64;
 use crate::render::render_rows_into;
@@ -479,6 +479,10 @@ impl QueryCore {
             return Err(format!("subscriber limit {} reached", self.max_subscribers));
         }
         let stmt = parse(sql).map_err(|e| e.to_string())?;
+        // Refuse here what could never run: an accepted subscription that
+        // cannot plan would answer every close with `EVENT <id> ERR`. A
+        // stream nothing has been ingested to yet has no schema to check.
+        plan(&stmt, self.session.schema_of(&stmt.from).ok()).map_err(|e| e.to_string())?;
         let stream = stmt.from.to_ascii_lowercase();
         let id = self.next_subscription_id;
         self.next_subscription_id += 1;
@@ -933,6 +937,23 @@ mod tests {
             events += 1;
         }
         assert_eq!(events, 4 * WINDOWS, "every close reached both subscriptions");
+    }
+
+    #[test]
+    fn subscribe_that_cannot_plan_is_refused_and_registers_nothing() {
+        let state = ShardSet::new(test_config());
+        ingest_window(&state, 100);
+        for sql in [
+            "SELECT nope FROM traffic",
+            "SELECT key, AVG(value) FROM traffic GROUP BY key WINDOW AVG(value) SIZE 2",
+        ] {
+            let err = state.subscribe(sql).expect_err(sql);
+            assert!(err.contains("plan error"), "{sql}: {err}");
+        }
+        assert_eq!(state.subscriber_count(), 0);
+        // Ids are not burnt by refusals, and an unseen stream still subscribes.
+        assert_eq!(state.subscribe("SELECT * FROM traffic").unwrap().0, 1);
+        assert_eq!(state.subscribe("SELECT anything FROM later").unwrap().0, 2);
     }
 
     #[test]

@@ -977,8 +977,19 @@ fn protocol_errors_are_structured() {
     assert!(client.request("QUERY SELECT * FROM missing")[0].starts_with("ERR query:"));
     assert!(client.request("SNAPSHOT")[0].starts_with("ERR no snapshot path"));
     assert!(client.request("UNSUBSCRIBE 99")[0].starts_with("ERR subscription"));
-    // The connection survives every error.
+    // A standing query that cannot plan is refused when it is made, not
+    // accepted and then answered with an `EVENT <id> ERR` at every close.
+    ingest_rows_via(&mut client, &observation_rows());
+    for sql in [
+        "SELECT nope FROM traffic",
+        "SELECT key, AVG(value) FROM traffic GROUP BY key WINDOW AVG(value) SIZE 2",
+    ] {
+        let reply = client.request(&format!("SUBSCRIBE {sql}"));
+        assert!(reply[0].starts_with("ERR subscribe: plan error"), "{sql}: {reply:?}");
+    }
+    // The connection survives every error, and refusals took no id.
     assert_eq!(client.request("PING")[0], "OK PONG");
+    assert_eq!(client.request("SUBSCRIBE SELECT * FROM traffic")[0], "OK SUBSCRIBED 1 traffic");
     handle.stop();
 }
 

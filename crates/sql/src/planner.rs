@@ -244,13 +244,7 @@ pub fn run_sql(
     session: &Session,
     sql: &str,
 ) -> Result<(Schema, Vec<Tuple>), Box<dyn std::error::Error>> {
-    let stmt = parse(sql)?;
-    let schema = session.schema_of(&stmt.from)?.clone();
-    let planned = plan(&stmt, Some(&schema))?;
-    let mut config = session.config;
-    if let Some(mode) = planned.accuracy {
-        config = QueryConfig { accuracy: mode, ..config };
-    }
+    let (planned, config) = prepare(session, &parse(sql)?)?;
     Ok(session.run_with_config(&planned.from, &planned.query, config)?)
 }
 
@@ -262,13 +256,7 @@ pub fn run_sql_with_stats(
     session: &Session,
     sql: &str,
 ) -> Result<(Schema, Vec<Tuple>, ausdb_engine::obs::StatsReport), Box<dyn std::error::Error>> {
-    let stmt = parse(sql)?;
-    let schema = session.schema_of(&stmt.from)?.clone();
-    let planned = plan(&stmt, Some(&schema))?;
-    let mut config = session.config;
-    if let Some(mode) = planned.accuracy {
-        config = QueryConfig { accuracy: mode, ..config };
-    }
+    let (planned, config) = prepare(session, &parse(sql)?)?;
     Ok(session.run_with_config_and_stats(&planned.from, &planned.query, config)?)
 }
 
@@ -332,17 +320,16 @@ pub fn run_statement_with_stats(
     }
 }
 
+/// The one plan → config step behind every entry point: plans `sel`
+/// against its stream's registered schema and applies its `WITH ACCURACY`
+/// override to the session's configuration.
 fn prepare(
     session: &Session,
     sel: &SelectStmt,
 ) -> Result<(PlannedQuery, QueryConfig), Box<dyn std::error::Error>> {
-    let schema = session.schema_of(&sel.from)?.clone();
-    let planned = plan(sel, Some(&schema))?;
-    let mut config = session.config;
-    if let Some(mode) = planned.accuracy {
-        config = QueryConfig { accuracy: mode, ..config };
-    }
-    Ok((planned, config))
+    let planned = plan(sel, Some(session.schema_of(&sel.from)?))?;
+    let accuracy = planned.accuracy.unwrap_or(session.config.accuracy);
+    Ok((planned, QueryConfig { accuracy, ..session.config }))
 }
 
 /// Annotates a rendered plan with observed per-operator statistics.

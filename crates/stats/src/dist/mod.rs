@@ -10,23 +10,19 @@
 //! binomial, its own discrete API) and samples through any [`rand::Rng`],
 //! so all randomness stays caller-seeded and reproducible.
 
-mod beta;
 mod binomial;
 mod chi_squared;
 mod exponential;
 mod gamma;
-mod log_normal;
 mod normal;
 mod student_t;
 mod uniform;
 mod weibull;
 
-pub use beta::Beta;
 pub use binomial::Binomial;
 pub use chi_squared::ChiSquared;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use log_normal::LogNormal;
 pub use normal::Normal;
 pub use student_t::StudentT;
 pub use uniform::Uniform;
