@@ -28,7 +28,7 @@ cargo test -q -p ausdb-obs
 
 echo "== telemetry: server tests + determinism invariant =="
 cargo test -q -p ausdb-serve
-cargo test -q -p ausdb-serve --test loopback telemetry_flag_does_not_affect_results
+cargo test -q -p ausdb-serve --test loopback observing_never_perturbs_results
 
 echo "== number text: release-mode differential vs Display (>= 20M bit patterns) =="
 cargo test -q --release -p ausdb-serve --lib numtext::tests::writer_equals_display_at_volume -- --ignored

@@ -10,7 +10,6 @@
 
 use std::time::Instant;
 
-use ausdb_engine::obs::{self, StatsReport};
 use ausdb_engine::ops::{AccuracyMode, SigFilter, SigMode, WindowAgg, WindowAggKind};
 use ausdb_engine::predicate::{CmpOp, Predicate};
 use ausdb_engine::sigpred::{coupled_tests, CoupledConfig, SigPredicate};
@@ -87,8 +86,7 @@ impl TupleStream for LearningSource<'_> {
 }
 
 /// Runs the learn → window-AVG pipeline under one accuracy mode and
-/// returns `(items/sec, outputs)`. With `AUSDB_OBS_TIMING` set, prints
-/// the per-operator metrics tree to stderr after the run.
+/// returns `(items/sec, outputs)`.
 pub fn run_window_pipeline(items: &[Vec<f64>], window: usize, mode: AccuracyMode) -> (f64, usize) {
     let start = Instant::now();
     let source = LearningSource::new(items);
@@ -99,12 +97,6 @@ pub fn run_window_pipeline(items: &[Vec<f64>], window: usize, mode: AccuracyMode
         outputs += batch.len();
     }
     let elapsed = start.elapsed().as_secs_f64();
-    if obs::timing_enabled() {
-        eprintln!(
-            "window pipeline ({mode:?}):\n{}",
-            StatsReport::from_ops(vec![agg.metrics().snapshot()])
-        );
-    }
     (items.len() as f64 / elapsed, outputs)
 }
 
@@ -151,8 +143,7 @@ impl SigStage {
 }
 
 /// Runs learn → window AVG (analytical accuracy) → significance stage.
-/// Returns `(items/sec, surviving outputs)`. With `AUSDB_OBS_TIMING`
-/// set, prints the per-operator metrics tree to stderr after the run.
+/// Returns `(items/sec, surviving outputs)`.
 pub fn run_sig_pipeline(items: &[Vec<f64>], window: usize, stage: SigStage) -> (f64, usize) {
     let mode = AccuracyMode::Analytical { level: 0.9 };
     let cfg = CoupledConfig::default();
@@ -160,8 +151,6 @@ pub fn run_sig_pipeline(items: &[Vec<f64>], window: usize, stage: SigStage) -> (
     let source = LearningSource::new(items);
     let agg = WindowAgg::new(source, "x", WindowAggKind::Avg, window, mode, 99)
         .expect("valid window spec");
-    let agg_metrics = agg.metrics();
-    let mut sig_metrics = None;
     let survivors = match stage {
         SigStage::None => {
             let mut agg = agg;
@@ -180,7 +169,6 @@ pub fn run_sig_pipeline(items: &[Vec<f64>], window: usize, stage: SigStage) -> (
                 200,
                 7,
             );
-            sig_metrics = Some(f.metrics());
             let mut n = 0;
             while let Some(b) = f.next_batch() {
                 n += b.len();
@@ -197,7 +185,6 @@ pub fn run_sig_pipeline(items: &[Vec<f64>], window: usize, stage: SigStage) -> (
                 200,
                 7,
             );
-            sig_metrics = Some(f.metrics());
             let mut n = 0;
             while let Some(b) = f.next_batch() {
                 n += b.len();
@@ -240,13 +227,6 @@ pub fn run_sig_pipeline(items: &[Vec<f64>], window: usize, stage: SigStage) -> (
         }
     };
     let elapsed = start.elapsed().as_secs_f64();
-    if obs::timing_enabled() {
-        let mut ops = vec![agg_metrics.snapshot()];
-        if let Some(m) = &sig_metrics {
-            ops.push(m.snapshot());
-        }
-        eprintln!("sig pipeline ({}):\n{}", stage.label(), StatsReport::from_ops(ops));
-    }
     (items.len() as f64 / elapsed, survivors)
 }
 

@@ -5,7 +5,7 @@
 //! trust* its answers; this module extends that discipline to the
 //! operators themselves. Every operator owns an [`OpMetrics`] handle that
 //! tallies tuples in/out, dropped tuples **with a [`DropReason`]**,
-//! significance decisions, accuracy fallbacks, and (optionally) wall-clock
+//! significance decisions, accuracy fallbacks, and (when traced) wall-clock
 //! time. Errors are recorded — never discarded: per-tuple failures become
 //! a [`StreamStatus::Degraded`] with the retained cause, fatal ones a
 //! [`StreamStatus::Poisoned`].
@@ -16,11 +16,11 @@
 //! bootstrap resamples, the stats crate's quantile-cache hits) ride along
 //! in the report.
 //!
-//! Per-operator timing is off by default (an `Instant::now()` pair per
-//! batch is not free); set the `AUSDB_OBS_TIMING` environment variable to
-//! any value other than `0`/`false`/`off` to record it. Reported times are
-//! **inclusive**: an operator's clock runs while it pulls from its input,
-//! exactly like EXPLAIN ANALYZE.
+//! An operator is timed exactly when its registry traces (an
+//! `Instant::now()` pair per batch is not free, and only a trace or
+//! `EXPLAIN ANALYZE` reads it). Reported times are **inclusive**: an
+//! operator's clock runs while it pulls from its input, exactly like
+//! EXPLAIN ANALYZE.
 //!
 //! ## Query-grain tracing
 //!
@@ -55,7 +55,7 @@ use crate::error::EngineError;
 
 pub mod telemetry;
 
-pub use ausdb_obs::{enabled, hist, journal, knobs, now_if_enabled, set_enabled};
+pub use ausdb_obs::{hist, journal, knobs};
 
 /// Why an operator dropped a tuple. "Dropped" covers everything that
 /// entered but did not leave, so intended filtering and failures are
@@ -143,7 +143,6 @@ pub struct OpMetrics {
     ci_count: AtomicU64,
     df_n_min: AtomicU64,
     resamples: AtomicU64,
-    timing_forced: AtomicBool,
     traced: AtomicBool,
     last_error: Mutex<Option<PoisonReason>>,
     poison: Mutex<Option<PoisonReason>>,
@@ -169,7 +168,6 @@ impl OpMetrics {
             ci_count: AtomicU64::new(0),
             df_n_min: AtomicU64::new(u64::MAX),
             resamples: AtomicU64::new(0),
-            timing_forced: AtomicBool::new(false),
             traced: AtomicBool::new(false),
             last_error: Mutex::new(None),
             poison: Mutex::new(None),
@@ -227,8 +225,8 @@ impl OpMetrics {
 
     /// Records the accuracy information attached to one emitted result:
     /// the minimum de-facto sample size `n` seen and the running mean CI
-    /// width. These are plain counters (always on), so `STATS` and
-    /// `EXPLAIN ANALYZE` stay correct even with telemetry disabled.
+    /// width. These are plain counters, so `STATS` and `EXPLAIN ANALYZE`
+    /// read them whether or not the query was traced.
     pub fn record_accuracy(&self, info: &AccuracyInfo) {
         self.acc_count.fetch_add(1, Ordering::Relaxed);
         self.df_n_min.fetch_min(info.sample_size as u64, Ordering::Relaxed);
@@ -248,19 +246,12 @@ impl OpMetrics {
         self.resamples.fetch_add(r, Ordering::Relaxed);
     }
 
-    /// Hooks this operator into a query's span tree. Forces wall-clock
-    /// timing on for the duration (an `EXPLAIN ANALYZE` without timings
-    /// would be useless), released again by [`OpMetrics::finish_span`].
+    /// Hooks this operator into a query's span tree. [`timed`] measures
+    /// wall-clock time while the span is attached, until
+    /// [`OpMetrics::finish_span`].
     pub fn attach_span(&self, tracer: Arc<Tracer>, span: SpanId) {
         *self.trace.lock().expect("metrics mutex") = Some(TraceCtx { tracer, span });
-        self.timing_forced.store(true, Ordering::Relaxed);
         self.traced.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether [`timed`] must measure even though `AUSDB_OBS_TIMING` is
-    /// off — true while a span is attached.
-    pub fn timing_forced(&self) -> bool {
-        self.timing_forced.load(Ordering::Relaxed)
     }
 
     /// Runs `f` inside a child span named `name` when this operator is
@@ -289,7 +280,6 @@ impl OpMetrics {
     pub fn finish_span(&self) {
         let Some(ctx) = self.trace.lock().expect("metrics mutex").take() else { return };
         self.traced.store(false, Ordering::Relaxed);
-        self.timing_forced.store(false, Ordering::Relaxed);
         let stats = self.snapshot();
         let tracer = &ctx.tracer;
         tracer.attr(ctx.span, "rows_in", AttrValue::U64(stats.tuples_in));
@@ -415,8 +405,7 @@ pub struct OpStats {
     pub decided_unsure: u64,
     /// Accuracy-computation fallbacks.
     pub fallbacks: u64,
-    /// Inclusive busy time, when `AUSDB_OBS_TIMING` was on (or forced by
-    /// an attached span).
+    /// Inclusive busy time, when the operator was traced.
     pub busy: Option<Duration>,
     /// Results emitted with accuracy information attached.
     pub acc_count: u64,
@@ -573,13 +562,8 @@ impl MetricsRegistry {
     }
 
     /// A registry that also records a span tree rooted at `root_name`
-    /// (registered operators become child spans). Falls back to a plain
-    /// registry while [`enabled`] is off — all span recording stays
-    /// behind `AUSDB_TELEMETRY`.
+    /// (registered operators become child spans).
     pub fn traced(root_name: &str) -> Self {
-        if !enabled() {
-            return Self::new();
-        }
         let tracer = Tracer::new();
         let root = tracer.start(root_name, None);
         Self { ops: Vec::new(), trace: Some((tracer, root)) }
@@ -599,8 +583,7 @@ impl MetricsRegistry {
 
     /// Adds one operator's handle. Call in pipeline construction order —
     /// deepest (closest to the source) first. When tracing, the operator
-    /// gets a child span under the query root and timing is forced on
-    /// for it.
+    /// gets a child span under the query root, which also times it.
     pub fn register(&mut self, metrics: Arc<OpMetrics>) {
         if let Some((tracer, root)) = &self.trace {
             let span = tracer.start(metrics.name(), Some(*root));
@@ -693,27 +676,14 @@ impl std::fmt::Display for StatsReport {
 }
 
 // ---------------------------------------------------------------------
-// Optional wall-clock timing.
+// Wall-clock timing of traced operators.
 // ---------------------------------------------------------------------
 
-/// Parses the `AUSDB_OBS_TIMING` value: anything but unset / empty /
-/// `0` / `false` / `off` enables timing. Delegates to
-/// [`knobs::parse_flag`], the one flag grammar every knob shares.
-pub fn parse_timing_flag(value: Option<&str>) -> bool {
-    knobs::parse_flag(value)
-}
-
-/// Whether per-operator timing is on (`AUSDB_OBS_TIMING`, read once).
-pub fn timing_enabled() -> bool {
-    knobs::timing_enabled()
-}
-
-/// Runs `f`, charging its wall-clock time to `metrics` when timing is on
-/// — globally via `AUSDB_OBS_TIMING`, or forced per-operator while a
-/// trace span is attached. The measurement is inclusive of input pulls
+/// Runs `f`, charging its wall-clock time to `metrics` while the operator
+/// is traced. The measurement is inclusive of input pulls
 /// (EXPLAIN-ANALYZE semantics).
 pub fn timed<T>(metrics: &OpMetrics, f: impl FnOnce() -> T) -> T {
-    if timing_enabled() || metrics.timing_forced() {
+    if metrics.traced.load(Ordering::Relaxed) {
         let start = Instant::now();
         let result = f();
         metrics.add_busy(start.elapsed());
@@ -738,13 +708,6 @@ pub fn poison_error(reason: &PoisonReason) -> EngineError {
         return EngineError::Model(e.clone());
     }
     EngineError::Eval(reason.to_string())
-}
-
-/// Serializes unit tests that flip the process-wide [`enabled`] flag.
-#[cfg(test)]
-pub(crate) fn test_flag_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -857,22 +820,12 @@ mod tests {
     }
 
     #[test]
-    fn timing_flag_parsing() {
-        assert!(!parse_timing_flag(None));
-        assert!(!parse_timing_flag(Some("")));
-        assert!(!parse_timing_flag(Some("0")));
-        assert!(!parse_timing_flag(Some("false")));
-        assert!(!parse_timing_flag(Some("off")));
-        assert!(parse_timing_flag(Some("1")));
-        assert!(parse_timing_flag(Some("true")));
-        assert!(parse_timing_flag(Some("nanos")));
-    }
-
-    #[test]
-    fn timed_runs_closure_regardless_of_flag() {
+    fn untraced_timed_runs_the_closure_without_timing() {
         let m = OpMetrics::new("op");
         let out = timed(&m, || 41 + 1);
         assert_eq!(out, 42);
+        assert!(m.snapshot().busy.is_none());
+        assert_eq!(m.with_span("mc_eval", || 7), 7, "untraced with_span is a plain call");
     }
 
     #[test]
@@ -913,17 +866,13 @@ mod tests {
     #[test]
     fn traced_registry_builds_well_formed_span_tree() {
         use ausdb_stats::ci::ConfidenceInterval;
-        let _guard = test_flag_guard();
-        let was_enabled = enabled();
-        set_enabled(true);
         let mut registry = MetricsRegistry::traced("query t");
         assert!(registry.is_traced());
         let filter = OpMetrics::new("Filter");
         let agg = OpMetrics::new("WindowAgg");
         registry.register(filter.clone());
         registry.register(agg.clone());
-        assert!(filter.timing_forced(), "tracing forces per-op timing");
-        filter.record_batch(100);
+        timed(&filter, || filter.record_batch(100));
         filter.record_out(60);
         agg.record_batch(60);
         agg.record_out(6);
@@ -936,7 +885,7 @@ mod tests {
         registry.root_attr("rows", AttrValue::U64(6));
         let trace = registry.finish_trace().expect("traced registry yields a trace");
         assert!(registry.finish_trace().is_none(), "second finish is None");
-        assert!(!filter.timing_forced(), "forcing released after finish");
+        assert!(filter.snapshot().busy.is_some(), "a traced operator is timed");
         trace.check_well_formed().unwrap();
         let root = trace.root().unwrap();
         assert_eq!(root.name, "query t");
@@ -951,23 +900,5 @@ mod tests {
         let grandchildren = trace.children(agg_span.id);
         assert_eq!(grandchildren.len(), 1);
         assert_eq!(grandchildren[0].name, "bootstrap_accuracy");
-        set_enabled(was_enabled);
-    }
-
-    #[test]
-    fn disabled_telemetry_yields_plain_registry() {
-        let _guard = test_flag_guard();
-        let was_enabled = enabled();
-        set_enabled(false);
-        let mut registry = MetricsRegistry::traced("query t");
-        assert!(!registry.is_traced());
-        let op = OpMetrics::new("Filter");
-        registry.register(op.clone());
-        assert!(!op.timing_forced());
-        registry.root_attr("rows", AttrValue::U64(1));
-        assert!(registry.finish_trace().is_none());
-        // with_span outside a trace is a plain call.
-        assert_eq!(op.with_span("mc_eval", || 7), 7);
-        set_enabled(was_enabled);
     }
 }

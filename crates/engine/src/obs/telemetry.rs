@@ -8,8 +8,8 @@
 //!
 //! Everything here is purely observational: recording reads values that
 //! already exist (interval endpoints, sample sizes, counts) and never
-//! touches an RNG, a seed, or chunking, so query results are
-//! bit-identical with telemetry on or off.
+//! touches an RNG, a seed, or chunking, so recording never changes a
+//! query result.
 
 use std::sync::{Arc, OnceLock};
 
@@ -174,8 +174,6 @@ mod tests {
 
     #[test]
     fn record_accuracy_observes_widths() {
-        let _guard = crate::obs::test_flag_guard();
-        ausdb_obs::set_enabled(true);
         // A private instance: exact assertions, no races with concurrent
         // tests hitting the process-global registry.
         let t = EngineTelemetry::new();

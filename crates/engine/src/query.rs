@@ -245,37 +245,7 @@ pub fn execute<S: TupleStream + 'static>(
             "queries with a JOIN must run through Session::run".into(),
         ));
     }
-    execute_joined(Box::new(source), query, config)
-}
-
-/// [`execute`] that also returns a [`StatsReport`] snapshotting every
-/// operator's counters after the run — the EXPLAIN-ANALYZE companion to
-/// [`Query::explain`].
-pub fn execute_with_stats<S: TupleStream + 'static>(
-    source: S,
-    query: &Query,
-    config: QueryConfig,
-) -> Result<(Schema, Vec<Tuple>, StatsReport), EngineError> {
-    if query.join.is_some() {
-        return Err(EngineError::InvalidQuery(
-            "queries with a JOIN must run through Session::run_with_stats".into(),
-        ));
-    }
-    let mut registry = MetricsRegistry::new();
-    let result = execute_registered(Box::new(source), query, config, &mut registry);
-    let report = registry.report();
-    let (schema, tuples) = result?;
-    Ok((schema, tuples, report))
-}
-
-/// [`execute`] over an already-joined source.
-fn execute_joined(
-    source: Box<dyn TupleStream>,
-    query: &Query,
-    config: QueryConfig,
-) -> Result<(Schema, Vec<Tuple>), EngineError> {
-    let mut registry = MetricsRegistry::new();
-    execute_registered(source, query, config, &mut registry)
+    execute_registered(Box::new(source), query, config, &mut MetricsRegistry::new())
 }
 
 /// Builds the operator pipeline, registering each operator's metrics
@@ -500,8 +470,7 @@ impl Session {
     /// [`Session::run_with_config_and_stats`] that additionally records a
     /// hierarchical span tree for the query (one root span, one child per
     /// operator, grandchildren around bootstrap / Monte-Carlo hot paths).
-    /// Returns `None` for the trace while telemetry is disabled. The
-    /// finished trace is also pushed into the process-global
+    /// The finished trace is also pushed into the process-global
     /// [`ausdb_obs::span::ring`] for `TRACEX` / `--trace-json` export.
     /// Purely observational: `(schema, tuples)` stays bit-identical to
     /// [`Session::run_with_config`].
@@ -510,18 +479,15 @@ impl Session {
         from: &str,
         query: &Query,
         config: QueryConfig,
-    ) -> Result<(Schema, Vec<Tuple>, StatsReport, Option<ausdb_obs::span::Trace>), EngineError>
-    {
+    ) -> Result<(Schema, Vec<Tuple>, StatsReport, ausdb_obs::span::Trace), EngineError> {
         let mut registry = MetricsRegistry::traced(&format!("query {from}"));
         let result = self.run_registered(from, query, config, &mut registry);
         if let Ok((_, tuples)) = &result {
             registry.root_attr("rows", ausdb_obs::span::AttrValue::U64(tuples.len() as u64));
         }
-        let trace = registry.finish_trace();
+        let trace = registry.finish_trace().expect("a traced registry yields a trace");
         let report = registry.report();
-        if let Some(trace) = &trace {
-            ausdb_obs::span::ring().push(trace.clone());
-        }
+        ausdb_obs::span::ring().push(trace.clone());
         let (schema, tuples) = result?;
         Ok((schema, tuples, report, trace))
     }
@@ -833,8 +799,6 @@ mod tests {
     #[test]
     fn traced_run_is_bit_identical_and_yields_span_tree() {
         use ausdb_obs::span::AttrValue;
-        let _guard = crate::obs::test_flag_guard();
-        ausdb_obs::set_enabled(true);
         let mut s = Session::new();
         let schema = Schema::new(vec![Column::new("x", ColumnType::Dist)]).unwrap();
         let tuples: Vec<Tuple> = (0..8)
@@ -859,7 +823,6 @@ mod tests {
         let plain = s.run_with_config("s", &q, config).unwrap();
         let (schema2, tuples2, report, trace) = s.run_with_config_traced("s", &q, config).unwrap();
         assert_eq!(plain, (schema2, tuples2.clone()), "tracing never changes results");
-        let trace = trace.expect("telemetry on yields a trace");
         trace.check_well_formed().unwrap();
         let root = trace.root().unwrap();
         assert_eq!(root.name, "query s");

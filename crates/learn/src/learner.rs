@@ -8,6 +8,7 @@
 //! describes for road 19 (3 observations) vs. road 20 (50 observations).
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use ausdb_model::schema::{Column, ColumnType, Schema};
 use ausdb_model::tuple::{Field, Tuple};
@@ -159,7 +160,7 @@ impl StreamLearner {
     /// The emitted tuples carry `ts = window_start` and membership
     /// probability 1 (the uncertainty lives in the attribute).
     pub fn emit_window(&mut self, window_start: u64) -> Result<Vec<Tuple>, ModelError> {
-        let start = ausdb_obs::now_if_enabled();
+        let start = Instant::now();
         let out = self.peek_window(window_start)?;
         // Evict everything the window has consumed or passed.
         let end = window_start.saturating_add(self.config.window_width);
@@ -168,7 +169,7 @@ impl StreamLearner {
         }
         self.buffer.retain(|_, v| !v.is_empty());
         ausdb_obs::journal::global().record(ausdb_obs::Level::Debug, "relearn", || {
-            let micros = start.map_or(0, |t0| t0.elapsed().as_micros());
+            let micros = start.elapsed().as_micros();
             format!("window_start={window_start} tuples={} took={micros}us", out.len())
         });
         Ok(out)

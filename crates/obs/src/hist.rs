@@ -8,9 +8,7 @@
 //! implicit `+Inf` overflow bucket.
 //!
 //! Recording is lock-free: one relaxed atomic increment for the bucket
-//! plus a CAS loop folding the value into the running sum. Recording is
-//! gated by the crate-wide [`crate::enabled`] flag; a disabled histogram
-//! observes nothing (see the determinism note in the crate docs).
+//! plus a CAS loop folding the value into the running sum.
 //!
 //! [`HistogramSnapshot`]s are plain data and [`HistogramSnapshot::merge`]
 //! is associative and count-preserving over snapshots with identical
@@ -74,10 +72,9 @@ impl Histogram {
     }
 
     /// Records one value. NaN is ignored; anything past the last bound
-    /// counts toward the overflow bucket. No-op while telemetry is
-    /// disabled ([`crate::enabled`]).
+    /// counts toward the overflow bucket.
     pub fn observe(&self, v: f64) {
-        if v.is_nan() || !crate::enabled() {
+        if v.is_nan() {
             return;
         }
         let idx = self.bounds.partition_point(|&b| b < v);
@@ -176,8 +173,6 @@ mod tests {
 
     #[test]
     fn observations_land_in_the_right_bucket() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let h = Histogram::new(vec![1.0, 2.0, 5.0]);
         for v in [0.5, 1.0, 1.5, 2.0, 4.9, 5.0, 100.0] {
             h.observe(v);
@@ -191,17 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_histogram_records_nothing() {
-        let _guard = crate::test_flag_guard();
-        let initial = crate::enabled();
-        let h = Histogram::new(vec![1.0]);
-        crate::set_enabled(false);
-        h.observe(0.5);
-        crate::set_enabled(initial);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
     fn merge_rejects_mismatched_bounds() {
         let a = Histogram::new(vec![1.0, 2.0]).snapshot();
         let b = Histogram::new(vec![1.0, 3.0]).snapshot();
@@ -212,8 +196,6 @@ mod tests {
 
     #[test]
     fn merge_adds_counts_and_sums() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let h1 = Histogram::new(vec![1.0, 2.0]);
         let h2 = Histogram::new(vec![1.0, 2.0]);
         h1.observe(0.5);

@@ -8,10 +8,9 @@
 //!
 //! Severity filtering follows the `AUSDB_LOG` knob (default `info`):
 //! entries *more verbose* than the configured level are skipped before
-//! their message closure ever runs, and the whole journal is off while
-//! [`crate::enabled`] is off. Entries never contain newlines (messages
-//! are sanitized), so one entry is always one protocol line when drained
-//! over the wire (`TRACE <n>`).
+//! their message closure ever runs. Entries never contain newlines
+//! (messages are sanitized), so one entry is always one protocol line
+//! when drained over the wire (`TRACE <n>`).
 //!
 //! Because the ring is a flight recorder, evictions are normal — but
 //! they should never be *silent*. [`Journal::dropped`] counts entries
@@ -205,11 +204,11 @@ impl Journal {
 
     /// Whether an entry at `level` would currently be recorded.
     pub fn enabled_at(&self, level: Level) -> bool {
-        crate::enabled() && level.rank() <= self.max_level.load(Ordering::Relaxed)
+        level.rank() <= self.max_level.load(Ordering::Relaxed)
     }
 
     /// Records one entry; `message` runs only if the entry passes the
-    /// severity filter and telemetry is enabled.
+    /// severity filter.
     pub fn record(&self, level: Level, span: &'static str, message: impl FnOnce() -> String) {
         if !self.enabled_at(level) {
             return;
@@ -252,13 +251,12 @@ impl Journal {
     }
 }
 
-/// The process-wide journal: capacity from `AUSDB_TRACE_CAP` (default
-/// 512), severity from `AUSDB_LOG`, structured sink from
-/// `AUSDB_LOG_JSON` (unset ⇒ no sink).
+/// The process-wide journal: capacity [`crate::TRACE_CAP`], severity from
+/// `AUSDB_LOG`, structured sink from `AUSDB_LOG_JSON` (unset ⇒ no sink).
 pub fn global() -> &'static Journal {
     static GLOBAL: OnceLock<Journal> = OnceLock::new();
     GLOBAL.get_or_init(|| {
-        let journal = Journal::new(crate::knobs::trace_cap(), crate::knobs::log_level());
+        let journal = Journal::new(crate::TRACE_CAP, crate::knobs::log_level());
         match crate::knobs::log_json() {
             Some(target) => journal.with_json_target(&target),
             None => journal,
@@ -272,8 +270,6 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_seq_monotonic() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(3, Level::Trace);
         for i in 0..5 {
             j.record(Level::Info, "t", || format!("msg {i}"));
@@ -292,8 +288,6 @@ mod tests {
 
     #[test]
     fn severity_filter_skips_verbose_entries() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(8, Level::Warn);
         let mut ran = false;
         j.record(Level::Debug, "t", || {
@@ -311,19 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_mutes_the_journal() {
-        let _guard = crate::test_flag_guard();
-        let j = Journal::new(8, Level::Trace);
-        crate::set_enabled(false);
-        j.record(Level::Error, "t", || "dropped".to_string());
-        crate::set_enabled(true);
-        assert!(j.is_empty());
-    }
-
-    #[test]
     fn entries_render_on_one_line() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(2, Level::Info);
         j.record(Level::Info, "query", || "evil\nmulti\rline".to_string());
         let e = &j.last(1)[0];
@@ -335,8 +317,6 @@ mod tests {
 
     #[test]
     fn dropped_counts_ring_evictions() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(2, Level::Trace);
         assert_eq!(j.dropped(), 0);
         for i in 0..5 {
@@ -348,8 +328,6 @@ mod tests {
 
     #[test]
     fn entry_renders_as_escaped_json() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(2, Level::Info);
         j.record(Level::Warn, "slo", || "width=\"0.5\" \\ over".to_string());
         let e = &j.last(1)[0];
@@ -365,8 +343,6 @@ mod tests {
 
     #[test]
     fn json_file_sink_appends_one_object_per_line() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let path = std::env::temp_dir().join(format!("ausdb_jsonlog_{}.jsonl", std::process::id()));
         std::fs::remove_file(&path).ok();
         let j = Journal::new(4, Level::Info).with_json_target(path.to_str().unwrap());
@@ -386,8 +362,6 @@ mod tests {
 
     #[test]
     fn unopenable_json_target_disables_the_sink() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let j = Journal::new(2, Level::Info)
             .with_json_target("/nonexistent-dir-ausdb/notwritable.jsonl");
         j.record(Level::Info, "t", || "still records".to_string());

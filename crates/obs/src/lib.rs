@@ -23,23 +23,17 @@
 //!   history plus per-query accuracy trajectories, with coarse tiers
 //!   built by exact merge-rollup of fine buckets.
 //!
-//! ## The enable toggle and determinism
+//! ## One mode, and determinism
 //!
 //! Telemetry is observational by construction: recording never touches an
-//! RNG, a seed, or any value that flows into a query result, so results
-//! are bit-identical with telemetry on or off. The process-wide
-//! [`enabled`] flag (default on; `AUSDB_TELEMETRY=0|false|off` or
-//! [`set_enabled`] turns it off) gates only the *optional* costs —
-//! histogram observations, journal entries, and the `Instant` reads
-//! behind them. Plain counters always count, so `STATS`-style reporting
-//! stays correct even with telemetry off.
+//! RNG, a seed, or any value that flows into a query result. It is also
+//! unconditional — there is no switch, so there is one configuration to
+//! test and to benchmark. Every ring is sized by a constant
+//! ([`TRACE_CAP`], [`series::default_tiers`], [`series::DEFAULT_EVENTS_CAP`]);
+//! only the journal's severity cutoff (`AUSDB_LOG`) filters what is kept.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-use std::time::Instant;
 
 pub mod health;
 pub mod hist;
@@ -56,59 +50,6 @@ pub use metrics::{Counter, Gauge, Registry, Sample, SampleValue};
 pub use series::{AccuracyPoint, Point, SeriesSlice, SeriesStore, TierSpec};
 pub use span::{AttrValue, Span, SpanId, Trace, Tracer};
 
-fn enabled_cell() -> &'static AtomicBool {
-    static CELL: OnceLock<AtomicBool> = OnceLock::new();
-    CELL.get_or_init(|| AtomicBool::new(knobs::telemetry_env_default()))
-}
-
-/// Whether optional telemetry recording (histograms, journal, timing) is
-/// on. Defaults to the `AUSDB_TELEMETRY` knob (on unless `0`/`false`/
-/// `off`); flipped at runtime by [`set_enabled`].
-pub fn enabled() -> bool {
-    enabled_cell().load(Ordering::Relaxed)
-}
-
-/// Turns optional telemetry recording on or off process-wide. Counters
-/// are unaffected (they always count).
-pub fn set_enabled(on: bool) {
-    enabled_cell().store(on, Ordering::Relaxed);
-}
-
-/// `Some(Instant::now())` when telemetry is enabled, `None` otherwise —
-/// the idiom for optional latency measurement:
-///
-/// ```
-/// let start = ausdb_obs::now_if_enabled();
-/// // ... the work being timed ...
-/// if let Some(t0) = start {
-///     let _secs = t0.elapsed().as_secs_f64(); // observe into a histogram
-/// }
-/// ```
-pub fn now_if_enabled() -> Option<Instant> {
-    enabled().then(Instant::now)
-}
-
-/// Serializes unit tests that flip the process-wide [`enabled`] flag.
-#[cfg(test)]
-pub(crate) fn test_flag_guard() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn toggle_round_trips() {
-        let _guard = test_flag_guard();
-        let initial = enabled();
-        set_enabled(false);
-        assert!(!enabled());
-        assert!(now_if_enabled().is_none());
-        set_enabled(true);
-        assert!(enabled());
-        assert!(now_if_enabled().is_some());
-        set_enabled(initial);
-    }
-}
+/// Capacity, in entries, of the bounded telemetry rings: the trace
+/// journal and the finished-trace ring.
+pub const TRACE_CAP: usize = 512;

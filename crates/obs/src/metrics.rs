@@ -474,8 +474,6 @@ mod tests {
 
     #[test]
     fn histogram_renders_cumulative_buckets() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let r = Registry::new();
         let h = r.histogram("ausdb_lat_seconds", "latency", &[0.1, 1.0], &[]);
         h.observe(0.05);
@@ -498,8 +496,6 @@ mod tests {
 
     #[test]
     fn merged_render_sums_duplicate_series() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         // One registry per "shard": the exposition must sum counter and
         // gauge series and merge histogram buckets across registries.
         let r1 = Registry::new();
@@ -528,8 +524,6 @@ mod tests {
 
     #[test]
     fn collect_merged_mirrors_render_semantics() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
         let r1 = Registry::new();
         let r2 = Registry::new();
         r1.counter("ausdb_rows_total", "rows", &[("stream", "s")]).add(3);

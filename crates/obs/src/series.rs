@@ -12,8 +12,8 @@
 //!
 //! Everything here is observational and RNG-free: the store only ever
 //! *reads* values that already exist (counter values, gauge readings,
-//! histogram snapshots, already-computed accuracy info), so query
-//! results are bit-identical with retention on or off.
+//! histogram snapshots, already-computed accuracy info), so recording
+//! can never change a query result.
 //!
 //! ## Memory model
 //!
@@ -26,7 +26,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::hist::HistogramSnapshot;
@@ -59,6 +58,9 @@ pub fn valid_tiers(tiers: &[TierSpec]) -> bool {
             && w[0].cap as u64 >= w[1].step / w[0].step
     })
 }
+
+/// Accuracy points retained per standing query by the default store.
+pub const DEFAULT_EVENTS_CAP: usize = 512;
 
 /// The default tier layout: 1s × 120, 10s × 180 (30 min), 60s × 240 (4 h).
 pub fn default_tiers() -> Vec<TierSpec> {
@@ -398,7 +400,6 @@ impl SeriesSlice {
 /// (writes are once per tick / per window close, so contention is nil).
 #[derive(Debug)]
 pub struct SeriesStore {
-    enabled: AtomicBool,
     tiers: Vec<TierSpec>,
     events_cap: usize,
     inner: Mutex<Inner>,
@@ -416,35 +417,18 @@ impl SeriesStore {
     /// `events_cap` accuracy points per standing query.
     pub fn new(tiers: Vec<TierSpec>, events_cap: usize) -> Self {
         let tiers = if valid_tiers(&tiers) { tiers } else { default_tiers() };
-        Self {
-            enabled: AtomicBool::new(true),
-            tiers,
-            events_cap: events_cap.max(1),
-            inner: Mutex::new(Inner::default()),
-        }
+        Self { tiers, events_cap: events_cap.max(1), inner: Mutex::new(Inner::default()) }
     }
 
-    /// A store configured from the `AUSDB_HISTORY_*` knobs.
+    /// A store over [`default_tiers`] keeping [`DEFAULT_EVENTS_CAP`]
+    /// accuracy points per standing query.
     pub fn with_default_tiers() -> Self {
-        let store = Self::new(crate::knobs::history_tiers(), crate::knobs::history_events_cap());
-        store.set_enabled(crate::knobs::history_enabled());
-        store
+        Self::new(default_tiers(), DEFAULT_EVENTS_CAP)
     }
 
     /// The tier layout in effect.
     pub fn tiers(&self) -> &[TierSpec] {
         &self.tiers
-    }
-
-    /// Whether recording is armed. Reads always work; a disabled store
-    /// simply stops accumulating.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Arms or disarms recording.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -455,9 +439,6 @@ impl SeriesStore {
     /// non-decreasing). Counters and histograms are stored as deltas
     /// from the previous scrape; unchanged samples create no bucket.
     pub fn record_samples(&self, tick: u64, samples: &[Sample]) {
-        if !self.enabled() {
-            return;
-        }
         let mut inner = self.lock();
         inner.now = inner.now.max(tick);
         for sample in samples {
@@ -524,9 +505,6 @@ impl SeriesStore {
 
     /// Appends one window-close accuracy point for standing query `id`.
     pub fn record_accuracy(&self, id: u64, point: AccuracyPoint) {
-        if !self.enabled() {
-            return;
-        }
         let mut inner = self.lock();
         if inner.accuracy.len() >= MAX_SERIES && !inner.accuracy.contains_key(&accuracy_name(id)) {
             return;
@@ -1008,27 +986,6 @@ mod tests {
         let slice = store.query(&name, Some(11), None).expect("accuracy series");
         let ts: Vec<u64> = slice.points.iter().map(Point::t).collect();
         assert_eq!(ts, vec![30, 40]);
-    }
-
-    #[test]
-    fn disabled_store_records_nothing() {
-        let store = SeriesStore::new(tiers_1_10(), 16);
-        store.set_enabled(false);
-        store.record_samples(1, &[counter_sample("c", 5)]);
-        store.record_accuracy(
-            1,
-            AccuracyPoint {
-                window_start: 0,
-                ci_width: 0.0,
-                df_n: 0,
-                resamples: 0,
-                verdicts_true: 0,
-                verdicts_false: 0,
-                rows: 0,
-                late_rows: 0,
-            },
-        );
-        assert!(store.list().is_empty());
     }
 
     #[test]

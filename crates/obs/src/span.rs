@@ -14,8 +14,8 @@
 //! 3. the Chrome trace-event export round-trips through a strict JSON
 //!    parser.
 //!
-//! Finished traces land in the process-global [`ring`] (capacity shared
-//! with the journal via `AUSDB_TRACE_CAP`), drained by the server's
+//! Finished traces land in the process-global [`ring`] (capacity
+//! [`crate::TRACE_CAP`], shared with the journal), drained by the server's
 //! `TRACEX` command and `ausdb serve --trace-json` as Chrome trace-event
 //! JSON that opens directly in `chrome://tracing` / Perfetto.
 //!
@@ -403,11 +403,7 @@ impl TraceRing {
     }
 
     /// Appends a finished trace, evicting the oldest past capacity.
-    /// No-op while [`crate::enabled`] is off.
     pub fn push(&self, trace: Trace) {
-        if !crate::enabled() {
-            return;
-        }
         let mut inner = self.lock();
         if inner.len() == self.capacity {
             inner.pop_front();
@@ -431,11 +427,11 @@ impl TraceRing {
     }
 }
 
-/// The process-global trace ring; capacity follows `AUSDB_TRACE_CAP`
-/// (shared with the journal; default 512).
+/// The process-global trace ring, [`crate::TRACE_CAP`] traces deep
+/// (the journal's capacity).
 pub fn ring() -> &'static TraceRing {
     static GLOBAL: OnceLock<TraceRing> = OnceLock::new();
-    GLOBAL.get_or_init(|| TraceRing::new(crate::knobs::trace_cap()))
+    GLOBAL.get_or_init(|| TraceRing::new(crate::TRACE_CAP))
 }
 
 #[cfg(test)]
@@ -554,18 +550,12 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_and_gates() {
-        let _guard = crate::test_flag_guard();
-        crate::set_enabled(true);
+    fn ring_is_bounded() {
         let ring = TraceRing::new(2);
         for _ in 0..3 {
             ring.push(two_level_trace());
         }
         assert_eq!(ring.len(), 2, "oldest trace evicted");
-        crate::set_enabled(false);
-        ring.push(two_level_trace());
-        assert_eq!(ring.len(), 2, "disabled telemetry mutes the ring");
-        crate::set_enabled(true);
         assert!(!ring.is_empty());
         assert_eq!(ring.snapshot().len(), 2);
     }

@@ -8,7 +8,6 @@ use ausdb_obs::metrics::Registry;
 
 #[test]
 fn exposition_matches_golden_file() {
-    ausdb_obs::set_enabled(true);
     let r = Registry::new();
     r.counter("ausdb_demo_events_total", "Events by kind", &[("kind", "plain")]).add(3);
     r.counter("ausdb_demo_events_total", "Events by kind", &[("kind", "qu\"ote\\back\nline")])
@@ -24,7 +23,6 @@ fn exposition_matches_golden_file() {
 
 #[test]
 fn rendering_twice_is_stable() {
-    ausdb_obs::set_enabled(true);
     let r = Registry::new();
     // Registration order is scrambled relative to name order on purpose.
     r.counter("ausdb_demo_z_total", "z", &[("b", "2"), ("a", "1")]).inc();

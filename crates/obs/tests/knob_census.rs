@@ -1,7 +1,7 @@
 //! Census of the `AUSDB_*` environment knobs: the names the sources
-//! mention, the table in `src/knobs.rs` and README.md must agree, so a
-//! knob cannot be read without being documented or documented after it
-//! is gone.
+//! mention, the table in `src/knobs.rs`, README.md and DESIGN.md must
+//! agree, so a knob cannot be read without being documented or
+//! documented after it is gone.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -30,7 +30,7 @@ fn scan_sources(dir: &Path, into: &mut BTreeSet<String>) {
 }
 
 #[test]
-fn sources_table_and_readme_name_the_same_knobs() {
+fn sources_table_readme_and_design_name_the_same_knobs() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let mut used = BTreeSet::new();
     scan_sources(&root.join("src"), &mut used);
@@ -44,9 +44,11 @@ fn sources_table_and_readme_name_the_same_knobs() {
         knob_names(row, &mut table);
     }
     assert_eq!(used, table, "knobs named in the sources vs. rows of the knobs.rs table");
-    assert_eq!(table.len(), 12, "adding or removing a knob is a README and DESIGN change too");
+    assert_eq!(table.len(), 5, "adding or removing a knob is a README and DESIGN change too");
 
-    let mut readme = BTreeSet::new();
-    knob_names(&std::fs::read_to_string(root.join("README.md")).expect("README.md"), &mut readme);
-    assert_eq!(readme, table, "knobs README.md names vs. the knobs.rs table");
+    for doc in ["README.md", "DESIGN.md"] {
+        let mut named = BTreeSet::new();
+        knob_names(&std::fs::read_to_string(root.join(doc)).expect(doc), &mut named);
+        assert_eq!(named, table, "knobs {doc} names vs. the knobs.rs table");
+    }
 }

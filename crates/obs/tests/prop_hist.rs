@@ -22,7 +22,6 @@ proptest! {
         b in prop::collection::vec(0.0005f64..500.0, 0..40),
         c in prop::collection::vec(0.0005f64..500.0, 0..40),
     ) {
-        ausdb_obs::set_enabled(true);
         let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
         let left = sa.merge(&sb).unwrap().merge(&sc).unwrap();
         let right = sa.merge(&sb.merge(&sc).unwrap()).unwrap();

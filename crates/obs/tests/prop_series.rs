@@ -118,7 +118,6 @@ proptest! {
             1..60,
         ),
     ) {
-        ausdb_obs::set_enabled(true);
         let tiers = vec![TierSpec { step: 1, cap: 64 }, TierSpec { step: 8, cap: 16 }];
         let store = SeriesStore::new(tiers, 8);
         let h = Histogram::log_linear(-3, 3);

@@ -73,14 +73,13 @@
 //!
 //! The server also *retains* its telemetry: a background sampler scrapes
 //! the merged registries into a bounded multi-resolution
-//! [`ausdb_obs::SeriesStore`] (1s/10s/1m tiers by default; the
-//! `AUSDB_HISTORY_*` knobs tune it), and every window close appends an
-//! accuracy point per standing query — widest CI, de-facto `n`, resample
+//! [`ausdb_obs::SeriesStore`] (1s/10s/1m tiers), and every window close
+//! appends an accuracy point per standing query — widest CI, de-facto `n`, resample
 //! spend, coupled-test verdicts, late rows. `HISTORY <series>` queries
 //! the trajectory over the line protocol, `GET /history` serves it as
 //! JSON, and `HISTORY EXPORT` / `ausdb serve --history-export` dump the
 //! whole store (DESIGN.md §11). Retention is strictly observational:
-//! query and subscription output is byte-identical with it on or off.
+//! scraping it never changes a query or subscription byte.
 //!
 //! Determinism carries through: a server-side `QUERY` runs the exact same
 //! `run_sql` path as the CLI, so with the same seed it returns

@@ -95,10 +95,6 @@ pub struct ServerConfig {
     /// address. Requires `wal_dir`. `PROMOTE` turns the follower into a
     /// writable primary.
     pub replicate_from: Option<String>,
-    /// Whether the metric/accuracy retention layer records (the
-    /// `HISTORY` verb and `GET /history` read regardless — a disabled
-    /// store just stays empty). Defaults to the `AUSDB_HISTORY` knob.
-    pub history: bool,
     /// Sampler cadence in milliseconds (one retention-store tick per
     /// scrape of the merged registries); `Some(0)` disables the sampler
     /// thread while keeping event-driven accuracy points. `None` reads
@@ -116,7 +112,6 @@ impl Default for ServerConfig {
             http_addr: None,
             wal_dir: None,
             replicate_from: None,
-            history: ausdb_obs::knobs::history_enabled(),
             history_sample_ms: None,
         }
     }
@@ -157,7 +152,7 @@ struct Shared {
     /// eviction count whenever metrics render.
     journal_dropped: Arc<Counter>,
     /// `ausdb_fanout_delay_seconds`: per writer-thread flush, from the
-    /// enqueue of the oldest block in it to the return of `write_all`.
+    /// enqueue of the oldest block in it to the end of its socket write.
     fanout_delay: Arc<Histogram>,
     /// The retention store behind `HISTORY` / `GET /history` — the same
     /// store the engine appends accuracy points to at window close; the
@@ -320,7 +315,6 @@ impl Server {
             ready.store(true, Ordering::SeqCst);
         }
         let history = state.history();
-        history.set_enabled(config.history);
         let shared = Arc::new(Shared {
             state,
             shutdown: AtomicBool::new(false),
@@ -342,7 +336,7 @@ impl Server {
         });
         let sample_ms =
             config.history_sample_ms.unwrap_or_else(ausdb_obs::knobs::history_sample_ms);
-        if config.history && sample_ms > 0 {
+        if sample_ms > 0 {
             let sampler_shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("ausdb-sampler".to_string())
@@ -568,6 +562,48 @@ enum ReadMode {
     },
 }
 
+/// How long one whole write (a reply, a fan-out flush, an HTTP response)
+/// may take to reach its peer; a peer that has not taken it by then is
+/// stalled, and its connection ends.
+const WRITE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A writer whose per-call timeout can be set: a socket, or a fake in
+/// tests.
+trait TimedWrite: Write {
+    fn set_call_timeout(&mut self, timeout: Duration) -> std::io::Result<()>;
+}
+
+impl TimedWrite for TcpStream {
+    fn set_call_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.set_write_timeout(Some(timeout))
+    }
+}
+
+/// Writes all of `buf` within `deadline` in total. A socket timeout bounds
+/// one `write` call, and a peer that takes a few bytes per call restarts
+/// it every time, so each call's timeout is lowered to what remains.
+fn write_within(
+    w: &mut impl TimedWrite,
+    mut buf: &[u8],
+    deadline: Duration,
+) -> std::io::Result<()> {
+    let end = Instant::now() + deadline;
+    while !buf.is_empty() {
+        let left = end.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        w.set_call_timeout(left)?;
+        match w.write(buf) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// What the two threads of a connection share. Lock order: `out`, then a
 /// subscriber queue, then `wake` — an ingesting thread holds only the
 /// last two, and never while it waits for the first.
@@ -590,6 +626,11 @@ struct ConnOut {
 }
 
 impl ConnOut {
+    /// Writes `bytes` whole within [`WRITE_DEADLINE`].
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        write_within(&mut self.stream, bytes, WRITE_DEADLINE)
+    }
+
     /// Drains every subscription's queue (with any `DROPPED` notice) into
     /// `buf`; returns when the oldest drained block was enqueued.
     fn drain_into(&self, buf: &mut String) -> Option<Instant> {
@@ -605,7 +646,7 @@ impl Conn {
 
     /// Writes one whole reply.
     fn send(&self, reply: &str) -> std::io::Result<()> {
-        self.lock().stream.write_all(reply.as_bytes())
+        self.lock().write(reply.as_bytes())
     }
 }
 
@@ -615,7 +656,6 @@ impl Conn {
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.tick));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let Ok(write_half) = stream.try_clone() else { return };
     let conn = Arc::new(Conn {
         out: Mutex::new(ConnOut { stream: write_half, subscriptions: Vec::new(), closed: false }),
@@ -656,7 +696,7 @@ fn serve_requests(
             let mut bye = String::new();
             out.drain_into(&mut bye);
             bye.push_str("BYE server shutting down\n");
-            let _ = out.stream.write_all(bye.as_bytes());
+            let _ = out.write(bye.as_bytes());
             out.closed = true;
             return;
         }
@@ -731,7 +771,9 @@ fn serve_pending(
                         // it bypasses `Reply`.
                         match build_repl_reply(shared, from_seq) {
                             Ok(reply) => {
-                                repl::write_reply(&mut conn.lock().stream, &reply).ok()?;
+                                let mut bytes = Vec::new();
+                                repl::write_reply(&mut bytes, &reply).ok()?;
+                                conn.lock().write(&bytes).ok()?;
                             }
                             Err(e) => conn.send(&format!("ERR {e}\n")).ok()?,
                         }
@@ -812,7 +854,7 @@ fn subscribe(
         // the writer thread cannot send an `EVENT` of `id` before the `OK`.
         let mut out = conn.lock();
         out.subscriptions.push((id, queue));
-        out.stream.write_all(format!("OK SUBSCRIBED {id} {stream}\n").as_bytes())?;
+        out.write(format!("OK SUBSCRIBED {id} {stream}\n").as_bytes())?;
     }
     // A window closed between `subscribe` and `attach_wakeup` signalled
     // nobody; its block is on the list now.
@@ -837,9 +879,9 @@ fn fanout_loop(conn: &Conn, shared: &Shared) {
         if buf.is_empty() {
             continue;
         }
-        if out.stream.write_all(buf.as_bytes()).is_err() {
-            // The peer left, or stalled past the write timeout with part of
-            // a block on the wire. End the connection for the request loop
+        if out.write(buf.as_bytes()).is_err() {
+            // The peer left, or stalled past the write deadline with part
+            // of a block on the wire. End the connection for the request loop
             // too, which releases the subscriptions.
             out.closed = true;
             let _ = out.stream.shutdown(Shutdown::Both);
@@ -1167,7 +1209,6 @@ fn follower_loop(shared: Arc<Shared>, primary: String) {
 fn follow(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let mut greeting = String::new();
@@ -1178,7 +1219,7 @@ fn follow(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
             return Ok(());
         }
         let local_last = lock_wal(wal).last_seq();
-        writer.write_all(format!("REPLICATE {local_last}\n").as_bytes())?;
+        write_within(&mut writer, format!("REPLICATE {local_last}\n").as_bytes(), WRITE_DEADLINE)?;
         let reply = repl::read_reply(&mut reader)?;
         if let Some((bytes, wal_seq)) = &reply.snapshot {
             let snap = decode_snapshot(bytes)
@@ -1326,10 +1367,9 @@ fn http_loop(listener: TcpListener, shared: Arc<Shared>) {
         }
         let Ok(mut stream) = incoming else { continue };
         let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
         let Some(head) = read_http_head(&mut stream) else { continue };
         let response = router.handle(&shared, &head);
-        let _ = stream.write_all(response.render().as_bytes());
+        let _ = write_within(&mut stream, response.render().as_bytes(), WRITE_DEADLINE);
     }
 }
 
@@ -1354,5 +1394,65 @@ fn read_http_head(stream: &mut TcpStream) -> Option<String> {
             }
             Err(_) => return None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that takes one byte per call and records the timeout each
+    /// call was given. A stalled one first blocks for up to `step` — a
+    /// send that frees a little buffer space now and then, so the kernel
+    /// returns a partial count instead of timing out.
+    struct Trickle {
+        step: Option<Duration>,
+        timeouts: Vec<Duration>,
+        taken: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if let (Some(step), Some(&timeout)) = (self.step, self.timeouts.last()) {
+                std::thread::sleep(step.min(timeout));
+            }
+            self.taken += 1;
+            Ok(buf.len().min(1))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl TimedWrite for Trickle {
+        fn set_call_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+            self.timeouts.push(timeout);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_trickling_peer_cannot_stretch_a_write_past_its_deadline() {
+        let deadline = Duration::from_millis(100);
+        let step = Some(Duration::from_millis(20));
+        let mut peer = Trickle { step, timeouts: Vec::new(), taken: 0 };
+        let start = Instant::now();
+        let err = write_within(&mut peer, &[b'x'; 64], deadline).unwrap_err();
+        let took = start.elapsed();
+        assert_eq!(err.kind(), ErrorKind::TimedOut);
+        assert!(peer.taken >= 1 && peer.taken < 64, "took {} bytes", peer.taken);
+        // Every call may wait only for what is left of the one deadline; a
+        // per-call timeout would have allowed 64 × 100 ms.
+        assert!(peer.timeouts.windows(2).all(|w| w[1] < w[0]), "{:?}", peer.timeouts);
+        assert!(peer.timeouts[0] <= deadline);
+        assert!(took < deadline * 2, "took {took:?} against a {deadline:?} deadline");
+    }
+
+    #[test]
+    fn a_reading_peer_gets_every_byte() {
+        let mut peer = Trickle { step: None, timeouts: Vec::new(), taken: 0 };
+        write_within(&mut peer, b"OK PONG\n", WRITE_DEADLINE).unwrap();
+        assert_eq!(peer.taken, 8);
     }
 }

@@ -1,7 +1,7 @@
 //! The engine: key-sharded learner buffers behind one window-close path.
 //!
-//! A [`ShardSet`] is one logical engine for any `--shards N` (or
-//! `AUSDB_SHARDS=N`), N ≥ 1. It is made of three parts:
+//! A [`ShardSet`] is one logical engine for any `--shards N`, N ≥ 1. It
+//! is made of three parts:
 //!
 //! * `N` `KeyBuffers`, each behind its own mutex: per stream, one
 //!   [`StreamLearner`] buffering the keys that hash to the shard (a
@@ -124,10 +124,12 @@ struct StreamMeta {
     /// Event-time watermark (largest timestamp seen). Observational only
     /// (never in snapshots or query results).
     max_ts: Option<u64>,
-    /// Wall-clock of the last ingest call (telemetry-gated; `HEALTH` age).
+    /// Wall-clock of the last ingest call (`HEALTH` age); `None` until the
+    /// first ingest after creation or restore.
     last_ingest: Option<Instant>,
     /// Wall-clock when the open window started accumulating rows
-    /// (telemetry-gated; observed into `ingest_to_close` at close).
+    /// (observed into `ingest_to_close` at close); `None` while no rows
+    /// are buffered.
     opened_at: Option<Instant>,
     counters: StreamCounters,
 }
@@ -322,10 +324,9 @@ impl ShardSet {
         self.wal_append(&name, rows, mode)?;
         meta.max_ts = Some(meta.max_ts.map_or(batch_max, |m| m.max(batch_max)));
         // One `Instant` read per ingest *call*, not per row.
-        meta.last_ingest = ausdb_obs::now_if_enabled();
-        if meta.opened_at.is_none() {
-            meta.opened_at = meta.last_ingest;
-        }
+        let now = Instant::now();
+        meta.last_ingest = Some(now);
+        meta.opened_at.get_or_insert(now);
         let mut out = BatchOutcome::default();
         let mut i = 0;
         while i < rows.len() {
@@ -392,7 +393,7 @@ impl ShardSet {
             if through_ts < next {
                 break;
             }
-            let start = ausdb_obs::now_if_enabled();
+            let start = Instant::now();
             let (merged, schema, global_min) = {
                 let mut guards: Vec<MutexGuard<'_, KeyBuffers>> =
                     self.shards.iter().map(lock).collect();
@@ -426,7 +427,7 @@ impl ShardSet {
             if global_min.is_some() {
                 // Buffered rows (the closing one, at least) started
                 // accumulating the next window just now.
-                meta.opened_at = start;
+                meta.opened_at = Some(start);
             }
             let learned = merged.len();
             if let Some(schema) = schema.filter(|_| learned > 0) {
@@ -438,16 +439,14 @@ impl ShardSet {
                 let late_rows = meta.counters.late.get();
                 lock(&self.core).register_closed_window(name, schema, merged, ws, late_rows);
             }
-            if let Some(t0) = start {
-                let elapsed = t0.elapsed();
-                self.telemetry.window_close.observe_duration(elapsed);
-                journal::global().record(Level::Info, "window_close", || {
-                    format!(
-                        "stream={name} window_start={ws} tuples={learned} took={}us",
-                        elapsed.as_micros()
-                    )
-                });
-            }
+            let elapsed = start.elapsed();
+            self.telemetry.window_close.observe_duration(elapsed);
+            journal::global().record(Level::Info, "window_close", || {
+                format!(
+                    "stream={name} window_start={ws} tuples={learned} took={}us",
+                    elapsed.as_micros()
+                )
+            });
         }
         Ok(emitted)
     }
@@ -640,7 +639,7 @@ impl ShardSet {
     /// first) and all coordinator locks are held while `wal_seq` is read
     /// and shard state captured, so no batch is half inside the cut.
     fn snapshot_cut(&self, wal_seq: impl FnOnce() -> u64) -> ServerSnapshot {
-        let start = ausdb_obs::now_if_enabled();
+        let start = Instant::now();
         let map = lock(&self.streams);
         let metas: Vec<(&String, MutexGuard<'_, StreamMeta>)> =
             map.iter().map(|(name, meta)| (name, lock(meta))).collect();
@@ -673,13 +672,11 @@ impl ShardSet {
                 }
             })
             .collect();
-        if let Some(t0) = start {
-            let elapsed = t0.elapsed();
-            self.telemetry.snapshot_encode.observe_duration(elapsed);
-            journal::global().record(Level::Info, "snapshot", || {
-                format!("encode streams={} took={}us", streams.len(), elapsed.as_micros())
-            });
-        }
+        let elapsed = start.elapsed();
+        self.telemetry.snapshot_encode.observe_duration(elapsed);
+        journal::global().record(Level::Info, "snapshot", || {
+            format!("encode streams={} took={}us", streams.len(), elapsed.as_micros())
+        });
         ServerSnapshot { streams, wal_seq }
     }
 
@@ -688,7 +685,7 @@ impl ShardSet {
     /// taken at any shard count restores. Counters and live subscriptions
     /// are untouched.
     pub fn restore(&self, snapshot: ServerSnapshot) -> Result<usize, String> {
-        let start = ausdb_obs::now_if_enabled();
+        let start = Instant::now();
         // Decode everything first so a corrupt snapshot mutates nothing.
         let mut decoded = Vec::with_capacity(snapshot.streams.len());
         for s in snapshot.streams {
@@ -722,13 +719,11 @@ impl ShardSet {
         }
         core.restore_session(contents);
         let restored = map.len();
-        if let Some(t0) = start {
-            let elapsed = t0.elapsed();
-            self.telemetry.snapshot_decode.observe_duration(elapsed);
-            journal::global().record(Level::Info, "snapshot", || {
-                format!("decode streams={restored} took={}us", elapsed.as_micros())
-            });
-        }
+        let elapsed = start.elapsed();
+        self.telemetry.snapshot_decode.observe_duration(elapsed);
+        journal::global().record(Level::Info, "snapshot", || {
+            format!("decode streams={restored} took={}us", elapsed.as_micros())
+        });
         Ok(restored)
     }
 
@@ -864,7 +859,6 @@ mod tests {
 
     #[test]
     fn slo_and_health_are_shard_count_invariant() {
-        ausdb_obs::set_enabled(true);
         let mut queues = Vec::new();
         let sets: Vec<ShardSet> = [1usize, 4]
             .into_iter()
@@ -915,7 +909,6 @@ mod tests {
     /// decode count the same at any shard count.
     #[test]
     fn close_and_snapshot_series_count_the_same_at_any_shard_count() {
-        ausdb_obs::set_enabled(true);
         let counts: Vec<Vec<u64>> = [1usize, 4]
             .into_iter()
             .map(|n| {

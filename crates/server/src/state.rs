@@ -30,6 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use ausdb_engine::obs::StatsReport;
 use ausdb_engine::query::Session;
@@ -57,9 +58,8 @@ pub struct EngineConfig {
     pub max_subscribers: usize,
     /// Per-subscriber queue capacity in protocol lines.
     pub queue_cap: usize,
-    /// Key shards in [`crate::shard::ShardSet`] (`AUSDB_SHARDS` /
-    /// `--shards`; at least 1). Every count runs the same code and
-    /// produces the same bytes.
+    /// Key shards in [`crate::shard::ShardSet`] (`--shards`; at least 1).
+    /// Every count runs the same code and produces the same bytes.
     pub shards: usize,
 }
 
@@ -69,7 +69,7 @@ impl Default for EngineConfig {
             learner: LearnerConfig::gaussian(60),
             max_subscribers: 64,
             queue_cap: 256,
-            shards: ausdb_obs::knobs::shards(),
+            shards: 1,
         }
     }
 }
@@ -250,7 +250,7 @@ pub(crate) struct StreamHealth {
     /// Event-time watermark (largest timestamp seen), if any row arrived.
     pub(crate) watermark: Option<u64>,
     /// Microseconds since the last ingest touched the stream; `None`
-    /// with telemetry off (no wall clocks are read).
+    /// only until the first ingest after a restore.
     pub(crate) age_us: Option<u64>,
     /// Observations buffered in the open window.
     pub(crate) buffered: usize,
@@ -438,21 +438,19 @@ impl QueryCore {
     /// recording its operator stats for `STATS` when it executed (SELECT
     /// and `EXPLAIN ANALYZE`; a plain `EXPLAIN` only plans).
     pub(crate) fn query(&mut self, sql: &str) -> Result<QueryReply, String> {
-        let start = ausdb_obs::now_if_enabled();
+        let start = Instant::now();
         match run_statement_with_stats(&self.session, sql) {
             Ok((out, report)) => {
                 self.telemetry.queries.inc();
-                if let Some(t0) = start {
-                    let elapsed = t0.elapsed();
-                    self.telemetry.query_latency.observe_duration(elapsed);
-                    journal::global().record(Level::Info, "query", || {
-                        let what = match &out {
-                            SqlOutput::Rows { tuples, .. } => format!("rows={}", tuples.len()),
-                            SqlOutput::Plan(_) => "plan".to_string(),
-                        };
-                        format!("{what} took={}us", elapsed.as_micros())
-                    });
-                }
+                let elapsed = start.elapsed();
+                self.telemetry.query_latency.observe_duration(elapsed);
+                journal::global().record(Level::Info, "query", || {
+                    let what = match &out {
+                        SqlOutput::Rows { tuples, .. } => format!("rows={}", tuples.len()),
+                        SqlOutput::Plan(_) => "plan".to_string(),
+                    };
+                    format!("{what} took={}us", elapsed.as_micros())
+                });
                 if let Some(report) = report {
                     self.last_stats = Some(report);
                 }
@@ -582,8 +580,7 @@ impl QueryCore {
             self.telemetry.events.inc();
             // Engine counter baselines: the deltas across this evaluation
             // are the per-window resample / coupled-verdict costs that go
-            // into the accuracy trajectory. Counters always count, so the
-            // point is identical with telemetry on or off.
+            // into the accuracy trajectory.
             let resamples0 = engine.bootstrap_resamples.get();
             let true0 = engine.verdict(Some(true)).get();
             let false0 = engine.verdict(Some(false)).get();
@@ -998,7 +995,6 @@ mod tests {
 
     #[test]
     fn metrics_text_reports_per_stream_counters() {
-        ausdb_obs::set_enabled(true);
         let state = ShardSet::new(test_config());
         ingest_window(&state, 100);
         state.ingest("traffic", "19,50,1").unwrap(); // late row
@@ -1028,7 +1024,6 @@ mod tests {
 
     #[test]
     fn queue_depth_gauges_are_per_stream_with_highwater() {
-        ausdb_obs::set_enabled(true);
         let state = ShardSet::new(test_config());
         let (_, _, queue) = state.subscribe("SELECT * FROM traffic").unwrap();
         ingest_window(&state, 100); // one EVENT block queued, never drained
@@ -1051,7 +1046,6 @@ mod tests {
 
     #[test]
     fn slo_violation_fires_notice_counter_and_gauge() {
-        ausdb_obs::set_enabled(true);
         let state = ShardSet::new(test_config());
         let (id, _, queue) = state.subscribe("SELECT * FROM traffic").unwrap();
         // SLO management: unknown id / bad widths rejected.
@@ -1095,7 +1089,6 @@ mod tests {
 
     #[test]
     fn slo_watchdog_leaves_query_results_byte_identical() {
-        ausdb_obs::set_enabled(true);
         let sql = "SELECT * FROM traffic";
         let plain = ShardSet::new(test_config());
         let watched = ShardSet::new(test_config());
@@ -1111,7 +1104,6 @@ mod tests {
 
     #[test]
     fn stream_health_tracks_watermark_and_buffer() {
-        ausdb_obs::set_enabled(true);
         let state = ShardSet::new(test_config());
         assert!(state.stream_health().is_empty());
         ingest_window(&state, 100);
@@ -1120,7 +1112,7 @@ mod tests {
         assert_eq!(health[0].name, "traffic");
         assert_eq!(health[0].watermark, Some(110), "largest ts seen");
         assert_eq!(health[0].buffered, 1, "the closing row stays buffered");
-        assert!(health[0].age_us.is_some(), "telemetry on ⇒ ages are tracked");
+        assert!(health[0].age_us.is_some(), "an ingested stream has an age");
         // A late row never drags the watermark backwards.
         state.ingest("traffic", "19,50,1").unwrap();
         assert_eq!(state.stream_health()[0].watermark, Some(110));

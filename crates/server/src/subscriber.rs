@@ -85,15 +85,15 @@ struct QueueInner {
     /// Lines held by `blocks` in total.
     lines: usize,
     dropped: u64,
-    /// When the oldest queued block was pushed (telemetry-gated; feeds
-    /// `ausdb_fanout_delay_seconds`).
+    /// When the oldest queued block was pushed (feeds
+    /// `ausdb_fanout_delay_seconds`); `None` while the queue is empty.
     oldest: Option<Instant>,
 }
 
 impl QueueInner {
     fn enqueue(&mut self, block: String, lines: usize) {
         if self.blocks.is_empty() {
-            self.oldest = ausdb_obs::now_if_enabled();
+            self.oldest = Some(Instant::now());
         }
         self.blocks.push_back(block);
         self.lines += lines;

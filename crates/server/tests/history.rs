@@ -2,8 +2,8 @@
 //! acceptance proofs:
 //!
 //! 1. **Strict observability**: `QUERY` / `SUBSCRIBE` transcripts are
-//!    byte-identical across history on/off × telemetry on/off × shard
-//!    counts, with the sampler thread running.
+//!    byte-identical across shard counts with the sampler thread
+//!    scraping at full speed.
 //! 2. **Determinism**: with the sampler disabled, `HISTORY` replies are
 //!    a pure function of the ingest script — two identical sessions
 //!    produce byte-identical trajectories.
@@ -47,17 +47,15 @@ fn engine_config(shards: usize) -> EngineConfig {
     }
 }
 
-/// Starts a server with the retention layer configured explicitly.
+/// Starts a server with the retention sampler configured explicitly.
 /// `sample_ms = 0` keeps event-driven accuracy points but no sampler
-/// thread (deterministic ticks); `history = false` disables recording
-/// entirely.
-fn start_server(shards: usize, history: bool, sample_ms: u64, http: bool) -> ServerHandle {
+/// thread (deterministic ticks).
+fn start_server(shards: usize, sample_ms: u64, http: bool) -> ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         engine: engine_config(shards),
         tick: Duration::from_millis(25),
         http_addr: http.then(|| "127.0.0.1:0".to_string()),
-        history,
         history_sample_ms: Some(sample_ms),
         ..ServerConfig::default()
     })
@@ -165,36 +163,28 @@ fn session(handle: &ServerHandle) -> Transcript {
 }
 
 #[test]
-fn transcripts_byte_identical_across_history_telemetry_and_shards() {
+fn transcripts_byte_identical_across_shards_with_the_sampler_running() {
     let _guard = history_lock();
     let mut baseline: Option<Transcript> = None;
-    for (history, telemetry, shards) in
-        [(true, true, 1), (true, false, 1), (true, true, 4), (false, true, 1), (false, false, 4)]
-    {
-        ausdb_obs::set_enabled(telemetry);
-        // History-on sessions run the sampler at full speed to prove the
-        // scrape thread never perturbs results either.
-        let handle = start_server(shards, history, if history { 1 } else { 0 }, false);
+    for shards in [1, 4] {
+        // The sampler runs at full speed to prove the scrape thread never
+        // perturbs results.
+        let handle = start_server(shards, 1, false);
         let got = session(&handle);
         handle.stop();
         assert!(!got.events.is_empty(), "two closes must emit events");
         assert!(got.query[0].starts_with("SCHEMA"), "got {:?}", got.query);
         match &baseline {
             None => baseline = Some(got),
-            Some(want) => assert_eq!(
-                &got, want,
-                "transcript changed under history={history} telemetry={telemetry} \
-                 shards={shards}"
-            ),
+            Some(want) => assert_eq!(&got, want, "transcript changed under shards={shards}"),
         }
     }
-    ausdb_obs::set_enabled(true);
 }
 
 /// Runs one sampler-less session and returns its full `HISTORY` surface:
 /// the series listing, the accuracy trajectory, and the export dump.
 fn history_surface(shards: usize) -> (Vec<String>, Vec<String>, Vec<String>) {
-    let handle = start_server(shards, true, 0, false);
+    let handle = start_server(shards, 0, false);
     let mut sub = Client::connect(&handle);
     assert!(sub.request("SUBSCRIBE SELECT * FROM traffic")[0].starts_with("OK SUBSCRIBED 1"));
     let mut producer = Client::connect(&handle);
@@ -245,11 +235,9 @@ fn history_replies_are_deterministic_and_shard_invariant() {
 }
 
 #[test]
-fn history_disabled_store_stays_empty_and_errors_are_structured() {
+fn history_without_sampler_or_subscription_stays_empty_and_errors_are_structured() {
     let _guard = history_lock();
-    let handle = start_server(1, false, 0, false);
-    let mut sub = Client::connect(&handle);
-    assert!(sub.request("SUBSCRIBE SELECT * FROM traffic")[0].starts_with("OK SUBSCRIBED 1"));
+    let handle = start_server(1, 0, false);
     let mut producer = Client::connect(&handle);
     ingest_rows(&mut producer, &observation_rows());
     assert_eq!(producer.request("HISTORY"), vec!["END 0".to_string()]);
@@ -278,7 +266,7 @@ fn http_get(addr: std::net::SocketAddr, target: &str) -> (String, Vec<String>, S
 #[test]
 fn http_history_agrees_with_the_protocol_verb() {
     let _guard = history_lock();
-    let handle = start_server(1, true, 0, true);
+    let handle = start_server(1, 0, true);
     let http = handle.http_addr().expect("http listener bound");
     let mut sub = Client::connect(&handle);
     assert!(sub.request("SUBSCRIBE SELECT * FROM traffic")[0].starts_with("OK SUBSCRIBED 1"));
@@ -330,8 +318,7 @@ fn http_history_agrees_with_the_protocol_verb() {
 #[test]
 fn sampler_feeds_metric_series_into_the_store() {
     let _guard = history_lock();
-    ausdb_obs::set_enabled(true);
-    let handle = start_server(1, true, 10, false);
+    let handle = start_server(1, 10, false);
     let mut client = Client::connect(&handle);
     ingest_rows(&mut client, &observation_rows());
 

@@ -20,8 +20,7 @@ use ausdb_learn::learner::{LearnerConfig, RawObservation};
 use ausdb_serve::client::BatchClient;
 use ausdb_serve::render::{render_rows, render_schema};
 use ausdb_serve::server::{Server, ServerConfig, ServerHandle};
-use ausdb_serve::shard::ShardSet;
-use ausdb_serve::state::{EngineConfig, QueryReply};
+use ausdb_serve::state::EngineConfig;
 use ausdb_sql::planner::run_sql;
 
 /// The in-process reference: one learner, one cursor, no `ShardSet`.
@@ -80,9 +79,10 @@ impl Client {
         client
     }
 
+    /// Writes `line` and its newline in one call, so Nagle's algorithm
+    /// never holds the newline back for a delayed ACK.
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
+        self.stream.write_all(format!("{line}\n").as_bytes()).unwrap();
     }
 
     fn read_line(&mut self) -> String {
@@ -322,9 +322,10 @@ fn write_timeout_on_a_stalled_subscriber_ends_the_connection() {
     let mut observer = Client::connect(&handle);
     close_windows_until_the_writer_blocks(&handle, &mut observer);
 
-    // The peer never reads again: the blocked write gives up after the 5 s
-    // write timeout, the writer thread shuts the socket down, the request
-    // thread sees the end of the stream and releases the subscription.
+    // The peer never reads again: the blocked write gives up at the 5 s
+    // write deadline (in total, however the kernel splits the send), the
+    // writer thread shuts the socket down, the request thread sees the end
+    // of the stream and releases the subscription.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     loop {
         let health = observer.request("HEALTH");
@@ -474,14 +475,6 @@ fn graceful_shutdown_notifies_connected_clients() {
     handle.join();
 }
 
-/// Serializes tests that flip or depend on the process-wide telemetry
-/// enable flag. Counters are unaffected by the flag, but histogram and
-/// journal assertions need it held steady.
-fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Splits a `METRICS` body into `series -> value` samples and
 /// `family -> kind` TYPE declarations, asserting every line is either a
 /// `# HELP`/`# TYPE` comment or a sample with a parsable float value.
@@ -509,8 +502,6 @@ fn parse_exposition(
 
 #[test]
 fn metrics_exposition_is_valid_and_cross_checks() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     // Engine-wide counters are process-global and shared with concurrent
     // tests, so they get sandwich (before <= reported <= after) asserts;
     // the per-server registry values are exact.
@@ -586,8 +577,6 @@ fn metrics_exposition_is_valid_and_cross_checks() {
 
 #[test]
 fn trace_drains_recent_journal_entries() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     let handle = start_server(None, Duration::from_millis(25));
     let mut client = Client::connect(&handle);
     ingest_rows_via(&mut client, &observation_rows());
@@ -609,43 +598,13 @@ fn trace_drains_recent_journal_entries() {
         assert!(line.starts_with("TRACE #"), "malformed entry: {line}");
         assert!(line.contains("us "), "missing relative timestamp: {line}");
     }
-    // Our ingest closed windows and ran a query just now; with only this
-    // client talking to the journal since, the tail must include one.
+    // Our ingest closed windows and ran a query just now, so the tail
+    // must include one of those spans.
     assert!(
         trace[1..=n].iter().any(|l| l.contains(" query: ") || l.contains(" window_close: ")),
         "expected a query/window_close span in {trace:?}"
     );
     handle.stop();
-}
-
-#[test]
-fn telemetry_flag_does_not_affect_results() {
-    let _guard = telemetry_lock();
-    let rows = observation_rows();
-    let sql = "SELECT * FROM traffic WITH ACCURACY BOOTSTRAP LEVEL 0.9 SAMPLES 200";
-
-    // The engine itself, in process: its ingest and close paths are the
-    // ones that read the flag.
-    let engine_reply = || {
-        let engine = ShardSet::new(engine_config());
-        for (key, ts, value) in &rows {
-            engine.ingest("traffic", &format!("{key},{ts},{value}")).unwrap();
-        }
-        let QueryReply::Rows(schema, tuples) = engine.query(sql).unwrap() else {
-            panic!("SELECT returns rows");
-        };
-        let mut lines = vec![render_schema(&schema)];
-        lines.extend(render_rows(&tuples));
-        lines
-    };
-    ausdb_obs::set_enabled(true);
-    let with_telemetry = engine_reply();
-    ausdb_obs::set_enabled(false);
-    let without_telemetry = engine_reply();
-    ausdb_obs::set_enabled(true);
-
-    assert!(with_telemetry.len() > 2, "query returned rows: {with_telemetry:?}");
-    assert_eq!(with_telemetry, without_telemetry, "telemetry must be purely observational");
 }
 
 #[test]
@@ -686,8 +645,6 @@ fn help_lists_every_verb() {
 
 #[test]
 fn explain_over_the_wire_returns_plan_lines() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     let handle = start_server(None, Duration::from_millis(25));
     let mut client = Client::connect(&handle);
     ingest_rows_via(&mut client, &observation_rows());
@@ -714,8 +671,6 @@ fn explain_over_the_wire_returns_plan_lines() {
 
 #[test]
 fn tracex_exports_chrome_trace_json() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     let handle = start_server(None, Duration::from_millis(25));
     let mut client = Client::connect(&handle);
     ingest_rows_via(&mut client, &observation_rows());
@@ -737,8 +692,6 @@ fn tracex_exports_chrome_trace_json() {
 
 #[test]
 fn http_metrics_scrape_matches_protocol_metrics() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     let handle = Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         snapshot_path: None,
@@ -817,8 +770,6 @@ fn http_metrics_scrape_matches_protocol_metrics() {
 
 #[test]
 fn health_verb_reports_role_streams_and_readiness() {
-    let _guard = telemetry_lock();
-    ausdb_obs::set_enabled(true);
     let handle = start_server(None, Duration::from_millis(25));
     let mut client = Client::connect(&handle);
     ingest_rows_via(&mut client, &observation_rows());
@@ -833,26 +784,11 @@ fn health_verb_reports_role_streams_and_readiness() {
     assert!(head.ends_with(" slo_targets=0 slo_violations=0"), "got {head}");
     assert_eq!(reply.last().unwrap(), "END 1");
     // Watermark 121 = the open third window's newest row; two rows are
-    // buffered there, and telemetry-on means the ingest age is a number.
+    // buffered there, and the ingest age is a number.
     let stream_line = &reply[1];
     assert!(stream_line.starts_with("STREAM traffic watermark=121 age_us="), "got {stream_line}");
     assert!(stream_line.ends_with(" buffered=2"), "got {stream_line}");
-    assert!(!stream_line.contains("age_us=-"), "telemetry on must report an age: {stream_line}");
-    handle.stop();
-
-    // With telemetry off no wall clocks are read, so the age is `-` —
-    // but the watermark (pure event time) still advances.
-    ausdb_obs::set_enabled(false);
-    let handle = start_server(None, Duration::from_millis(25));
-    let mut client = Client::connect(&handle);
-    ingest_rows_via(&mut client, &observation_rows());
-    let reply = client.request("HEALTH");
-    assert!(
-        reply[1].starts_with("STREAM traffic watermark=121 age_us=- buffered=2"),
-        "got {:?}",
-        reply[1]
-    );
-    ausdb_obs::set_enabled(true);
+    assert!(!stream_line.contains("age_us=-"), "an ingested stream reports an age: {stream_line}");
     handle.stop();
 }
 
@@ -863,6 +799,31 @@ struct SloRun {
     slo_list: Vec<String>,
     violations: String,
     query: Vec<String>,
+}
+
+/// Reads a subscriber's next `closes` `EVENT` blocks (header and `ROW`
+/// lines), plus one `ACCURACY` notice per close with `notices`, then
+/// checks with a `PING` that nothing else was queued. Counting, not a
+/// `PING` sent first, marks the end: the connection's writer thread may
+/// still be flushing when a request's reply goes out.
+fn read_events(subscriber: &mut Client, closes: usize, notices: bool) -> Vec<String> {
+    let (mut lines, mut events, mut accuracy, mut rows_due) = (Vec::new(), 0, 0, 0u64);
+    while events < closes || rows_due > 0 || (notices && accuracy < closes) {
+        let line = subscriber.read_line();
+        if let Some((_, rows)) = line.strip_prefix("EVENT ").and_then(|l| l.rsplit_once(" ROWS ")) {
+            rows_due = rows.parse().unwrap();
+            events += 1;
+        } else if line.starts_with("ROW ") {
+            rows_due -= 1;
+        } else if line.starts_with("ACCURACY ") {
+            accuracy += 1;
+        } else {
+            panic!("unexpected subscriber line: {line}");
+        }
+        lines.push(line);
+    }
+    assert_eq!(subscriber.request("PING"), ["OK PONG"], "more was queued than {lines:?}");
+    lines
 }
 
 /// One SLO-watchdog session: subscribe, arm an impossible-to-meet CI
@@ -888,17 +849,7 @@ fn slo_session(shards: usize) -> SloRun {
     let mut producer = Client::connect(&handle);
     ingest_rows_via(&mut producer, &observation_rows());
 
-    // Both window closes queued their events (and notices) before the
-    // producer's last OK, so they drain before the PONG below.
-    sub.send("PING");
-    let mut events = Vec::new();
-    loop {
-        let line = sub.read_line();
-        if line == "OK PONG" {
-            break;
-        }
-        events.push(line);
-    }
+    let events = read_events(&mut sub, 2, true);
     let slo_list = sub.request("SLO LIST");
     let metrics = sub.request("METRICS");
     let violations = metrics
@@ -913,11 +864,9 @@ fn slo_session(shards: usize) -> SloRun {
 }
 
 #[test]
-fn slo_watchdog_fires_identically_across_telemetry_and_shards() {
-    let _guard = telemetry_lock();
+fn slo_watchdog_fires_identically_across_shards() {
     let mut baseline: Option<SloRun> = None;
-    for (telemetry, shards) in [(true, 1), (false, 1), (true, 4), (false, 4)] {
-        ausdb_obs::set_enabled(telemetry);
+    for shards in [1, 4] {
         let got = slo_session(shards);
         let SloRun { events, slo_list, violations, query } = &got;
 
@@ -939,16 +888,12 @@ fn slo_watchdog_fires_identically_across_telemetry_and_shards() {
         assert!(query[0].starts_with("SCHEMA"), "got {query:?}");
 
         // The watchdog is observational: every byte the client sees is
-        // identical with telemetry on or off, sharded or not.
+        // identical sharded or not.
         match &baseline {
             None => baseline = Some(got.clone()),
-            Some(want) => assert_eq!(
-                &got, want,
-                "SLO watchdog output differs (telemetry={telemetry}, shards={shards})"
-            ),
+            Some(want) => assert_eq!(&got, want, "SLO watchdog output differs (shards={shards})"),
         }
     }
-    ausdb_obs::set_enabled(true);
 }
 
 /// Minimal HTTP/1.0-style GET over a raw socket: returns (status line,
@@ -1152,4 +1097,125 @@ fn non_finite_query_results_match_the_display_oracle() {
     let got = client.request(&format!("QUERY {sql}"));
     assert_eq!(got.join("\n") + "\n", want);
     handle.stop();
+}
+
+/// What the clients of one [`observed_session`] received: each
+/// subscriber's stream (`EVENT`, `ROW` and `ACCURACY` lines) and each
+/// `QUERY` reply.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    subscribers: Vec<Vec<String>>,
+    queries: Vec<Vec<String>>,
+}
+
+/// A second stream for [`observed_session`]: two keys, three windows.
+fn roads_rows() -> Vec<(i64, u64, f64)> {
+    (0..30u64).map(|i| (7 + (i % 2) as i64, 100 + i, 40.0 + (i * 7 % 11) as f64)).collect()
+}
+
+/// One fixed script: three subscriptions over two streams (the first with
+/// an SLO every close violates), fed alternately by `INGEST` lines and
+/// `INGESTB` frames, then three ad-hoc queries. With `scrape`, every
+/// introspection verb and both HTTP routes are read before each write.
+fn observed_session(scrape: bool) -> Observed {
+    let handle = Server::start(ServerConfig {
+        engine: EngineConfig { queue_cap: 1 << 12, ..engine_config() },
+        http_addr: Some("127.0.0.1:0".to_string()),
+        history_sample_ms: Some(1),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let http = handle.http_addr().expect("http listener bound");
+    let mut subscribers: Vec<Client> = [
+        "SUBSCRIBE SELECT * FROM traffic",
+        "SUBSCRIBE SELECT key, value FROM traffic WHERE value > 50 PROB 0.5",
+        "SUBSCRIBE SELECT * FROM roads",
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, sql)| {
+        let mut subscriber = Client::connect(&handle);
+        let reply = subscriber.request(sql);
+        assert!(reply[0].starts_with(&format!("OK SUBSCRIBED {}", i + 1)), "got {reply:?}");
+        subscriber
+    })
+    .collect();
+    assert_eq!(subscribers[0].request("SLO SET 1 0.000000001")[0], "OK SLO 1 target=0.000000001");
+
+    let mut scraper = Client::connect(&handle);
+    let mut observe = || {
+        if !scrape {
+            return;
+        }
+        for verb in
+            ["METRICS", "STATS", "HEALTH", "TRACE 5", "TRACEX", "HISTORY EXPORT", "SLO LIST"]
+        {
+            let reply = scraper.request(verb);
+            assert!(reply.last().unwrap().starts_with("END"), "{verb}: {reply:?}");
+        }
+        for target in ["/metrics", "/history"] {
+            assert_eq!(http_get(http, target).0, "HTTP/1.1 200 OK", "GET {target}");
+        }
+    };
+
+    let mut lines = Client::connect(&handle);
+    let mut frames = BatchClient::connect(&handle.addr().to_string()).expect("connect");
+    let (traffic, roads) = (observation_rows(), roads_rows());
+    for (n, (stream, chunk)) in traffic
+        .chunks(4)
+        .map(|c| ("traffic", c))
+        .zip(roads.chunks(5).map(|c| ("roads", c)))
+        .flat_map(|(a, b)| [a, b])
+        .enumerate()
+    {
+        if n % 2 == 0 {
+            for (key, ts, value) in chunk {
+                observe();
+                let reply = lines.request(&format!("INGEST {stream} {key},{ts},{value}"));
+                assert!(reply[0].starts_with("OK INGESTED"), "got {reply:?}");
+            }
+        } else {
+            observe();
+            let rows: Vec<RawObservation> =
+                chunk.iter().map(|&(key, ts, value)| RawObservation::new(key, ts, value)).collect();
+            frames.ingest_batch(stream, &rows).expect("INGESTB");
+        }
+    }
+
+    let mut querier = Client::connect(&handle);
+    let queries = [
+        "QUERY SELECT * FROM traffic",
+        "QUERY SELECT * FROM roads WITH ACCURACY BOOTSTRAP LEVEL 0.9 SAMPLES 200",
+        "QUERY SELECT key, value FROM traffic WHERE value > 50 PROB 0.5",
+    ]
+    .into_iter()
+    .map(|sql| {
+        observe();
+        querier.request(sql)
+    })
+    .collect();
+
+    // Each stream closed its first two windows; only subscription 1 has
+    // an SLO.
+    let subscribers = subscribers
+        .iter_mut()
+        .enumerate()
+        .map(|(i, subscriber)| read_events(subscriber, 2, i == 0))
+        .collect();
+    handle.stop();
+    Observed { subscribers, queries }
+}
+
+/// Observing is never perturbing: scraping every introspection surface
+/// between every write leaves every result byte as it was.
+#[test]
+fn observing_never_perturbs_results() {
+    let plain = observed_session(false);
+    for (id, stream) in plain.subscribers.iter().enumerate() {
+        assert!(stream.iter().any(|l| l.starts_with("EVENT")), "subscriber {}: {stream:?}", id + 1);
+    }
+    assert!(plain.subscribers[0].iter().any(|l| l.starts_with("ACCURACY 1 width=")));
+    assert!(plain.queries.iter().all(|reply| reply[0].starts_with("SCHEMA")), "{plain:?}");
+    let watched = observed_session(true);
+    assert_eq!(watched, plain, "scraping changed a result byte");
 }

@@ -37,6 +37,5 @@ pub use ast::Statement;
 pub use error::SqlError;
 pub use parser::{parse, parse_statement};
 pub use planner::{
-    plan, run_sql, run_sql_with_stats, run_statement, run_statement_with_stats, PlannedQuery,
-    SqlOutput,
+    plan, run_sql, run_statement, run_statement_with_stats, PlannedQuery, SqlOutput,
 };

@@ -248,18 +248,6 @@ pub fn run_sql(
     Ok(session.run_with_config(&planned.from, &planned.query, config)?)
 }
 
-/// [`run_sql`] that also returns the pipeline's
-/// [`StatsReport`](ausdb_engine::obs::StatsReport). The stats registry is
-/// observational only — the `(schema, tuples)` result is bit-identical to
-/// [`run_sql`] on the same session and statement.
-pub fn run_sql_with_stats(
-    session: &Session,
-    sql: &str,
-) -> Result<(Schema, Vec<Tuple>, ausdb_engine::obs::StatsReport), Box<dyn std::error::Error>> {
-    let (planned, config) = prepare(session, &parse(sql)?)?;
-    Ok(session.run_with_config_and_stats(&planned.from, &planned.query, config)?)
-}
-
 /// What a top-level statement produced: result rows for a SELECT, or
 /// rendered plan text for `EXPLAIN` / `EXPLAIN ANALYZE`.
 #[derive(Debug, Clone)]
@@ -313,8 +301,7 @@ pub fn run_statement_with_stats(
             let (_, tuples, report, trace) =
                 session.run_with_config_traced(&planned.from, &planned.query, config)?;
             let plan_text = planned.query.explain(&planned.from);
-            let total_us = trace.as_ref().map(|t| t.duration_us());
-            let rendered = render_analyze(&plan_text, &report, total_us, tuples.len());
+            let rendered = render_analyze(&plan_text, &report, trace.duration_us(), tuples.len());
             Ok((SqlOutput::Plan(rendered), Some(report)))
         }
     }
@@ -343,7 +330,7 @@ fn prepare(
 fn render_analyze(
     plan: &str,
     report: &ausdb_engine::obs::StatsReport,
-    total_us: Option<u64>,
+    total_us: u64,
     rows: usize,
 ) -> String {
     let mut used = vec![false; report.ops.len()];
@@ -362,10 +349,7 @@ fn render_analyze(
         out.push('\n');
     }
     out.push_str(&format!("{}\n", report.engine));
-    match total_us {
-        Some(us) => out.push_str(&format!("total: {:.3}ms rows={rows}", us as f64 / 1e3)),
-        None => out.push_str(&format!("total: rows={rows}")),
-    }
+    out.push_str(&format!("total: {:.3}ms rows={rows}", total_us as f64 / 1e3));
     out
 }
 

@@ -75,7 +75,7 @@ fn print_usage() {
     eprintln!("          liveness/readiness probes at GET /healthz and GET /readyz;");
     eprintln!("          --trace-json writes queued query spans as Chrome trace JSON on exit;");
     eprintln!("          --history-export writes the retained metric/accuracy trajectory");
-    eprintln!("          (HISTORY EXPORT JSON; AUSDB_HISTORY_* tune retention) on exit;");
+    eprintln!("          (HISTORY EXPORT JSON) on exit;");
     eprintln!("          AUSDB_LOG_JSON=stderr|FILE mirrors the journal as JSON lines");
     eprintln!("  ingest  read key,ts,value lines from stdin and push them to a server as");
     eprintln!("          binary INGESTB frames of --batch rows (default 4096)");
